@@ -4,9 +4,12 @@ molecule quotients, and the doubly connected decision.
 
 An atomic graph is a multigraph of atoms (external atoms carry fixed site
 bindings, internal atoms are summed over the lattice) with typed edges,
-diagonal weights, and a coefficient.  Evaluation is deliberately
-brute-force enumeration over internal assignments, serving as the trusted
-oracle; capacity caps make the cost explicit.
+diagonal weights, and a coefficient.  Evaluation compiles the graph into
+one einsum contraction over N x N resolvent and kernel matrices, ordered by
+numpy.einsum_path (contraction ordering as in Smith & Gray, opt_einsum,
+JOSS 2018); the path's FLOP estimate is the graph's cost and is capped.
+Enumeration over all internal assignments (evaluate_brute) is kept as the
+oracle the contraction is tested against.
 
 Coefficients may carry symbolic powers of m, conj(m), 1/(N eta) and eta
 that are resolved against the resolvent context at evaluation time (the
@@ -15,6 +18,8 @@ natural prefactors of expansion terms are z-dependent).
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
+from string import ascii_letters
 
 import numpy as np
 
@@ -43,7 +48,9 @@ __all__ = [
     "molecular_graph",
     "is_doubly_connected",
     "graph_size",
+    "graph_cost",
     "evaluate",
+    "evaluate_brute",
     "second_order_graphs",
     "standard_bindings",
     "dotted_normal_form",
@@ -425,32 +432,223 @@ def graph_size(g: AtomicGraph, W: float, L: int, eta: float, d: int, delta0: flo
 
 
 _EVAL_CHUNK = 1 << 16
+_PROPAGATOR_KERNELS = {
+    EdgeKind.WAVED_PLUS: "s_plus_fft",
+    EdgeKind.WAVED_MINUS: "s_minus_fft",
+    EdgeKind.DIFFUSIVE: "theta_circ_fft",
+}
+_SCALAR_KINDS = (EdgeKind.FREE, EdgeKind.GHOST)
 
 
-def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> complex:
-    """Brute-force value: coefficient times the sum over all internal-atom
-    site assignments of the product of edge and weight factors.
+def _need_profile(prof):
+    if prof is None:
+        raise ContractError("graph references the variance kernel; profile required")
+    return prof
 
-    ``bindings`` maps every external atom id to a site index.  Factors:
-    blue/red G edges give G_xy / conj(G_xy); waved edges give s_xy or the
-    plus/minus kernels; diffusive edges give the centered diffusive kernel;
-    free edges give 1/(N eta); ghost edges give W^2/L^2; dotted and
-    cross-dotted give equality/inequality indicators; regular weights give
-    G_xx (or conj), light weights G_xx - m (or conj).  P/Q labels and
-    labeled-diffusive edges have no numerical evaluator and raise.
-    """
+
+def _need_props(props):
+    if props is None:
+        raise ContractError("graph references propagator kernels; PropagatorSet required")
+    return props
+
+
+def _check_evaluable(g: AtomicGraph):
     if g.has_labels():
         raise UnsupportedLabelError("partial expectations have no closed numerical form")
     if any(e.kind == EdgeKind.LABELED_DIFFUSIVE for e in g.edges):
         raise UnsupportedEdgeError("labeled-diffusive edges have no evaluator")
+
+
+def _checked_bindings(g: AtomicGraph, n: int, bindings) -> dict:
     bindings = dict(bindings or {})
-    lat = ctx.lattice
-    n = ctx.N
     for a in g.external_atoms:
         if a.id not in bindings:
             raise ContractError(f"external atom {a.id} is unbound")
         if not 0 <= int(bindings[a.id]) < n:
             raise ContractError(f"binding for atom {a.id} outside [0, {n})")
+    return {a.id: int(bindings[a.id]) for a in g.external_atoms}
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """An atomic graph compiled for N sites into one einsum.
+
+    Each factor reads its atoms through refs: a subscript letter for a
+    summed index (an internal atom, or a dotted class of them) or the id of
+    the external atom whose binding fixes the site.  Factors whose
+    subscript is empty are scalars and stay out of the einsum.
+    """
+
+    factors: tuple  # (kind, refs, subscript)
+    tied: tuple  # external atom pairs that a dotted edge puts on one site
+    n_bare: int  # summed indices that no factor reads; each contributes N
+    subscripts: str
+    path: tuple
+    flops: int
+
+
+def _path_flops(subs, path, n: int) -> int:
+    """FLOP estimate of an einsum contraction path, counted the way
+    numpy.einsum_path counts it (every index has size n)."""
+    terms = [set(s) for s in subs]
+    flops = 0
+    for step in path[1:]:
+        picked = [terms.pop(i) for i in sorted(step, reverse=True)]
+        idx = set().union(*picked)
+        kept = idx & set().union(*terms)
+        flops += n ** len(idx) * (max(1, len(picked) - 1) + (kept != idx))
+        terms.append(kept)
+    return flops
+
+
+@lru_cache(maxsize=256)
+def _compile(g: AtomicGraph, n: int) -> _Plan:
+    dsu = _DSU([a.id for a in g.atoms])
+    for e in g.edges:
+        if e.kind == EdgeKind.DOTTED:
+            dsu.union(e.a, e.b)
+    internal = {a.id for a in g.internal_atoms}
+    groups = dsu.groups()
+    n_summed = sum(internal.issuperset(grp) for grp in groups)
+    if n_summed > len(ascii_letters):
+        raise CapacityError(
+            f"{n_summed} summed indices exceed the {len(ascii_letters)} einsum subscripts"
+        )
+    ref, tied, letters = {}, [], iter(ascii_letters)
+    for grp in groups:
+        ext = sorted(set(grp) - internal)
+        tied += [(ext[0], x) for x in ext[1:]]
+        ref.update(dict.fromkeys(grp, ext[0] if ext else next(letters)))
+
+    factors = []
+    for e in g.edges:
+        if e.kind == EdgeKind.DOTTED:
+            continue
+        refs = () if e.kind in _SCALAR_KINDS else (ref[e.a], ref[e.b])
+        factors.append((e.kind, refs))
+    factors += [(w.kind, (ref[w.atom],)) for w in g.weights]
+    factors = tuple(
+        (kind, refs, "".join(dict.fromkeys(r for r in refs if isinstance(r, str))))
+        for kind, refs in factors
+    )
+
+    subs = [sub for _, _, sub in factors if sub]
+    subscripts = ",".join(subs) + "->"
+    path = ()
+    if subs:
+        # greedy ordering; numpy caps intermediates at the largest operand (N^2)
+        shapes = [np.broadcast_to(0.0, (n,) * len(sub)) for sub in subs]
+        path = tuple(np.einsum_path(subscripts, *shapes, optimize="greedy")[0])
+    return _Plan(
+        factors=factors,
+        tied=tuple(tied),
+        n_bare=n_summed - len(set("".join(subs))),
+        subscripts=subscripts,
+        path=path,
+        flops=_path_flops(subs, path, n),
+    )
+
+
+def graph_cost(g: AtomicGraph, n: int) -> int:
+    """FLOP estimate of evaluate(g) on N = n sites: the cost of the einsum
+    contraction path, which EVAL_TERM_CAP bounds."""
+    _check_evaluable(g)
+    return _compile(g, int(n)).flops
+
+
+def _kernel_factor(lat, kern, sa, sb, same):
+    """k(x_a - x_b) with each bound end fixed at its site and each summed
+    end left free: a scalar, a row, a column or the full gathered matrix."""
+    if same:
+        return np.full(lat.N, kern.flat[0])
+    if sa is None and sb is not None:
+        # the column k(x - x_b) is row b of the reflected kernel k(-u)
+        axes = tuple(range(lat.d))
+        kern, sa, sb = np.roll(np.flip(kern, axes), 1, axes), sb, None
+    out = lat.kernel_matrix(kern, rows=sa)
+    return out if sb is None else out[sb]
+
+
+def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> complex:
+    """Value of an atomic graph: coefficient times the sum over all
+    internal-atom site assignments of the product of edge and weight
+    factors, computed as one einsum contraction.
+
+    ``bindings`` maps every external atom id to a site index.  Factors:
+    blue/red G edges give G_xy / conj(G_xy); waved edges give s_xy or the
+    plus/minus kernels; diffusive edges give the centered diffusive kernel;
+    free edges give 1/(N eta); ghost edges give W^2/L^2; dotted edges merge
+    the two sites and cross-dotted edges give the inequality indicator
+    (J - I); regular weights give G_xx (or conj), light weights G_xx - m
+    (or conj).  P/Q labels and labeled-diffusive edges have no numerical
+    evaluator and raise.
+
+    The contraction is compiled once per graph and N; its FLOP estimate
+    (graph_cost) is capped at EVAL_TERM_CAP.  evaluate_brute is the
+    enumeration oracle it is tested against.
+    """
+    _check_evaluable(g)
+    lat = ctx.lattice
+    n = ctx.N
+    bindings = _checked_bindings(g, n, bindings)
+    plan = _compile(g, n)
+    if plan.flops > EVAL_TERM_CAP:
+        raise CapacityError(
+            f"contraction FLOP estimate {plan.flops} exceeds evaluation cap {EVAL_TERM_CAP}"
+        )
+
+    prof = props.profile if props is not None else ctx.profile
+    G = ctx.G
+    scale = g.coeff.resolve(ctx.m, n, ctx.eta) * n**plan.n_bare
+    if any(bindings[a] != bindings[b] for a, b in plan.tied):
+        return 0j
+    operands = []
+    for kind, refs, sub in plan.factors:
+        sites = [None if isinstance(r, str) else bindings[r] for r in refs]
+        same = len(sub) < sum(s is None for s in sites)  # both ends on one summed index
+        if kind == EdgeKind.FREE:
+            val = 1.0 / (n * ctx.eta)
+        elif kind == EdgeKind.GHOST:
+            val = _need_profile(prof).W ** 2 / lat.L**2
+        elif kind in _G_KINDS:
+            sa, sb = (slice(None) if s is None else s for s in sites)
+            val = np.diagonal(G) if same else G[sa, sb]
+            if kind == EdgeKind.G_RED:
+                val = np.conj(val)
+        elif kind == EdgeKind.WAVED:
+            val = _kernel_factor(lat, _need_profile(prof).kernel_fft, *sites, same)
+        elif kind in _PROPAGATOR_KERNELS:
+            kern = getattr(_need_props(props), _PROPAGATOR_KERNELS[kind])
+            val = _kernel_factor(lat, kern, *sites, same)
+        elif kind == EdgeKind.CROSS_DOTTED:
+            # J - I is the displacement kernel 1 - delta(x, 0)
+            kern = np.ones((lat.L,) * lat.d)
+            kern.flat[0] = 0.0
+            val = _kernel_factor(lat, kern, *sites, same)
+        else:
+            (s,) = sites
+            val = np.diagonal(G) if s is None else G[s, s]
+            if kind in (WeightKind.LIGHT_BLUE, WeightKind.LIGHT_RED):
+                val = val - ctx.m
+            if kind in (WeightKind.REGULAR_RED, WeightKind.LIGHT_RED):
+                val = np.conj(val)
+        if sub:
+            operands.append(val)
+        else:
+            scale *= complex(val)
+    if operands:
+        scale *= complex(np.einsum(plan.subscripts, *operands, optimize=list(plan.path)))
+    return scale
+
+
+def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> complex:
+    """Enumeration oracle for evaluate: the same sum, taken over all N^#internal
+    site assignments in chunks, with every factor looked up per assignment.
+    Capped at N^#internal <= EVAL_TERM_CAP."""
+    _check_evaluable(g)
+    lat = ctx.lattice
+    n = ctx.N
+    bindings = _checked_bindings(g, n, bindings)
 
     internals = sorted(a.id for a in g.internal_atoms)
     total = n ** len(internals)
@@ -460,17 +658,6 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
         )
 
     prof = props.profile if props is not None else ctx.profile
-
-    def need_prof():
-        if prof is None:
-            raise ContractError("graph references the variance kernel; profile required")
-        return prof
-
-    def need_props():
-        if props is None:
-            raise ContractError("graph references propagator kernels; PropagatorSet required")
-        return props
-
     G = ctx.G
     acc = 0.0 + 0.0j
     for start in range(0, total, _EVAL_CHUNK):
@@ -486,17 +673,17 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
             elif e.kind == EdgeKind.G_RED:
                 val = val * np.conj(G[sa, sb])
             elif e.kind == EdgeKind.WAVED:
-                val = val * need_prof().kernel_flat[lat.diff_flat(sa, sb)]
+                val = val * _need_profile(prof).kernel_flat[lat.diff_flat(sa, sb)]
             elif e.kind == EdgeKind.WAVED_PLUS:
-                val = val * need_props().s_plus_at(sa, sb)
+                val = val * _need_props(props).s_plus_at(sa, sb)
             elif e.kind == EdgeKind.WAVED_MINUS:
-                val = val * need_props().s_minus_at(sa, sb)
+                val = val * _need_props(props).s_minus_at(sa, sb)
             elif e.kind == EdgeKind.DIFFUSIVE:
-                val = val * need_props().theta_circ_at(sa, sb)
+                val = val * _need_props(props).theta_circ_at(sa, sb)
             elif e.kind == EdgeKind.FREE:
                 val = val * (1.0 / (n * ctx.eta))
             elif e.kind == EdgeKind.GHOST:
-                w_band = need_prof().W
+                w_band = _need_profile(prof).W
                 val = val * (w_band**2 / lat.L**2)
             elif e.kind == EdgeKind.DOTTED:
                 val = val * np.asarray(sa == sb, dtype=float)

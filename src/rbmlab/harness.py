@@ -290,8 +290,6 @@ def _exp_propcheck(config, workers):
     if n > 512:
         raise CapacityError(f"propcheck dense oracle gated to N <= 512, got N={n}")
     rng = substream_rng(_aux_master(config.seed, 2), 0)
-    idx = np.arange(n)
-    pair_flat = lat.diff_flat(idx[:, None], idx[None, :])
     report = StatReport("propcheck", params=_params(config))
     gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0, "s_minus": 0.0}
     const_dev = 0.0
@@ -302,10 +300,10 @@ def _exp_propcheck(config, workers):
         d_tc = dense_theta_circ(prof, z)
         d_t = dense_theta(prof, z)
         d_sp = dense_s_plus(prof, z)
-        gaps["theta_circ"] = max(gaps["theta_circ"], float(np.max(np.abs(d_tc - props.theta_circ_fft.ravel()[pair_flat]))))
-        gaps["theta"] = max(gaps["theta"], float(np.max(np.abs(d_t - props.theta_fft.ravel()[pair_flat]))))
-        gaps["s_plus"] = max(gaps["s_plus"], float(np.max(np.abs(d_sp - props.s_plus_fft.ravel()[pair_flat]))))
-        gaps["s_minus"] = max(gaps["s_minus"], float(np.max(np.abs(d_sp.conj() - props.s_minus_fft.ravel()[pair_flat]))))
+        gaps["theta_circ"] = max(gaps["theta_circ"], float(np.max(np.abs(d_tc - lat.kernel_matrix(props.theta_circ_fft)))))
+        gaps["theta"] = max(gaps["theta"], float(np.max(np.abs(d_t - lat.kernel_matrix(props.theta_fft)))))
+        gaps["s_plus"] = max(gaps["s_plus"], float(np.max(np.abs(d_sp - lat.kernel_matrix(props.s_plus_fft)))))
+        gaps["s_minus"] = max(gaps["s_minus"], float(np.max(np.abs(d_sp.conj() - lat.kernel_matrix(props.s_minus_fft)))))
         shift = semicircle_m(z).imag / (n * z.imag)
         const_dev = max(const_dev, float(np.max(np.abs((d_t - d_tc) - shift))))
         sum_dev = max(sum_dev, abs(float(props.theta_circ_fft.sum())))

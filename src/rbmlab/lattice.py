@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidCoordinateError, ParameterError
 
@@ -87,6 +88,26 @@ class TorusLattice:
         cj = self.coords[np.asarray(j)]
         delta = np.mod(ci - cj, self.L)
         return np.ravel_multi_index(tuple(np.moveaxis(delta, -1, 0)), (self.L,) * self.d)
+
+    def kernel_matrix(self, kernel, rows=None) -> np.ndarray:
+        """Gather a displacement kernel (FFT layout) into K[x, y] = k(x - y).
+
+        Returns the N x N matrix, or only the rows for the site index (or
+        array of site indices) ``rows``: shape (N,) or rows.shape + (N,).
+        Equal to ``kernel.ravel()[diff_flat(x, y)]`` over the same pairs, but
+        builds no index array of the result's size: row x is one window of
+        the reflected kernel tiled twice per axis, copied out whole.
+        """
+        L, d = self.L, self.d
+        axes = tuple(range(d))
+        kern = np.asarray(kernel).reshape((L,) * d)
+        # reflected[j] = k(-j), so k(x - y) = reflected(y - x), and the window
+        # of the tiled reflection starting at L - x holds reflected(y - x) at y
+        tiled = np.tile(np.roll(np.flip(kern, axes), 1, axes), (2,) * d)
+        windows = sliding_window_view(tiled, (L,) * d)
+        rows = np.arange(self.N) if rows is None else np.asarray(rows)
+        start = L - (self.coords[rows.ravel()] + self.shift)
+        return windows[tuple(start.T)].reshape(rows.shape + (self.N,))
 
     @cached_property
     def distance_fft(self) -> np.ndarray:

@@ -119,9 +119,7 @@ class VarianceProfile:
 
     def dense_matrix(self) -> np.ndarray:
         """Full N x N variance matrix; intended for small N."""
-        n = self.lattice.N
-        idx = np.arange(n)
-        return self.kernel_flat[self.lattice.diff_flat(idx[:, None], idx[None, :])]
+        return self.lattice.kernel_matrix(self.kernel_fft)
 
     def export_kernel_csv(self, path) -> None:
         _export_site_function_csv(self.lattice, self.kernel_fft, path, "x", "f")

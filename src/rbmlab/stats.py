@@ -169,8 +169,8 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     lat = ctx.lattice
     n = ctx.N
     W = props.profile.W
-    bker = b_kernel(lat, W).ravel()
-    dist = lat.distance_fft.ravel()
+    bker = b_kernel(lat, W)
+    dist = lat.distance_fft
     inv_neta = 1.0 / (n * ctx.eta)
     G = ctx.G
 
@@ -179,13 +179,11 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     shell_max = np.zeros(max_dist + 1)
     ratio_max = 0.0
     block = max(1, (1 << 22) // n)
-    all_idx = np.arange(n)
     for r0 in range(0, n, block):
         rows = np.arange(r0, min(r0 + block, n))
-        flat = lat.diff_flat(rows[:, None], all_idx[None, :])
-        denom = bker[flat] + inv_neta
+        denom = lat.kernel_matrix(bker, rows) + inv_neta
         ratio = np.abs(G[rows, :]) ** 2 / denom
-        dmat = dist[flat]
+        dmat = lat.kernel_matrix(dist, rows)
         offdiag = dmat > 0
         ratio_max = max(ratio_max, float(ratio[offdiag].max()))
         for s in range(1, max_dist + 1):
@@ -376,8 +374,7 @@ _NORM_CAP = 2048
 
 
 def _pair_distances(lat: TorusLattice) -> np.ndarray:
-    idx = np.arange(lat.N)
-    return lat.distance_fft.ravel()[lat.diff_flat(idx[:, None], idx[None, :])]
+    return lat.kernel_matrix(lat.distance_fft)
 
 
 def weak_norm(A: np.ndarray, lat: TorusLattice, W: float, eta: float, delta0: float) -> float:

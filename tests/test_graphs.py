@@ -1,5 +1,10 @@
+import itertools
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rbmlab.errors import (
     CapacityError,
@@ -15,8 +20,11 @@ from rbmlab.graphs import (
     EdgeKind,
     Weight,
     WeightKind,
+    EVAL_TERM_CAP,
     dotted_normal_form,
     evaluate,
+    evaluate_brute,
+    graph_cost,
     graph_size,
     is_doubly_connected,
     is_normal,
@@ -28,6 +36,8 @@ from rbmlab.graphs import (
     serialize_graph,
     standard_bindings,
 )
+from rbmlab.lattice import TorusLattice
+from rbmlab.profile import build_profile, get_shape
 from rbmlab.propagators import PropagatorSet
 from rbmlab.sampler import sample_band
 from rbmlab.spectral import resolvent, t_three
@@ -267,7 +277,114 @@ def test_evaluate_errors(ctx_props):
         tuple(Edge(0, i, EdgeKind.WAVED) for i in range(1, 11)),
     )
     with pytest.raises(CapacityError):
-        evaluate(crowded, ctx, props, {0: 0})  # 8^10 > 1e8
+        evaluate_brute(crowded, ctx, props, {0: 0})  # 8^10 > 1e8
+    # the star contracts one row per internal atom; a 10-clique cannot be
+    # contracted below N^10 without intermediates larger than N^2
+    clique = AtomicGraph(
+        ext(0) + internal(*range(1, 11)),
+        tuple(Edge(a, b, EdgeKind.WAVED) for a, b in itertools.combinations(range(1, 11), 2)),
+    )
+    assert graph_cost(crowded, ctx.N) <= EVAL_TERM_CAP < graph_cost(clique, ctx.N)
+    with pytest.raises(CapacityError):
+        evaluate(clique, ctx, props, {0: 0})
+
+
+_EVALUABLE_EDGES = (
+    EdgeKind.G_BLUE,
+    EdgeKind.G_RED,
+    EdgeKind.WAVED,
+    EdgeKind.WAVED_PLUS,
+    EdgeKind.WAVED_MINUS,
+    EdgeKind.DIFFUSIVE,
+    EdgeKind.FREE,
+    EdgeKind.GHOST,
+    EdgeKind.DOTTED,
+    EdgeKind.CROSS_DOTTED,
+)
+_NO_LOOP = (EdgeKind.G_BLUE, EdgeKind.G_RED, EdgeKind.DOTTED, EdgeKind.CROSS_DOTTED)
+
+
+@cache
+def _oracle_ctx(d, L):
+    """Context and propagators, plus a magnitude copy whose every factor is
+    at least the absolute value of the original one (G -> |G| off the
+    diagonal, |G_xx| + |m| on it, m -> 0, kernels -> |kernel|).
+
+    The plus kernel gets an asymmetric perturbation, so that k(x - y) and
+    k(y - x) differ and edge orientation matters."""
+    prof = build_profile(get_shape("gaussian"), 1.0 if d > 1 else 2.0, TorusLattice(d, L))
+    z = 0.3 + 0.4j
+    ctx = resolvent(sample_band(prof, 11, d), z, prof)
+    props = PropagatorSet.build(prof, z)
+    noise = np.random.default_rng(d * L).standard_normal(props.s_plus_fft.shape)
+    props = replace(props, s_plus_fft=props.s_plus_fft + 0.1 * noise)
+    G_abs = np.abs(ctx.G)
+    np.fill_diagonal(G_abs, np.abs(np.diagonal(ctx.G)) + abs(ctx.m))
+    mag = (
+        replace(ctx, G=G_abs, m=0j),
+        replace(
+            props,
+            theta_circ_fft=np.abs(props.theta_circ_fft),
+            s_plus_fft=np.abs(props.s_plus_fft),
+            s_minus_fft=np.abs(props.s_minus_fft),
+        ),
+    )
+    return (ctx, props), mag
+
+
+@st.composite
+def _graph_cases(draw):
+    d, L = draw(st.sampled_from([(1, 8), (2, 4), (1, 16)]))
+    n_ext = draw(st.integers(0, 3))
+    n_int = draw(st.integers(0 if n_ext else 1, 4 if L**d <= 8 else 3))
+    ids = draw(st.permutations(range(n_ext + n_int)))
+    atoms = tuple(Atom(i, k >= n_ext) for k, i in enumerate(ids))
+    pick = st.sampled_from(ids)
+    edges, dotted_pairs = [], set()
+    for a, b, kind in draw(st.lists(st.tuples(pick, pick, st.sampled_from(_EVALUABLE_EDGES)), max_size=7)):
+        if kind in _NO_LOOP and a == b:
+            continue
+        if kind in (EdgeKind.DOTTED, EdgeKind.CROSS_DOTTED):
+            if (min(a, b), max(a, b)) in dotted_pairs:
+                continue
+            dotted_pairs.add((min(a, b), max(a, b)))
+        edges.append(Edge(a, b, kind))
+    weights = draw(st.lists(st.builds(Weight, pick, st.sampled_from(list(WeightKind))), max_size=3))
+    coeff = Coefficient(complex(draw(st.sampled_from([1.0, -0.5, 2j]))), m_pow=draw(st.integers(0, 1)))
+    sites = st.integers(0, L**d - 1)
+    bindings = {a.id: draw(sites) for a in atoms if not a.internal}
+    return (d, L), AtomicGraph(atoms, tuple(edges), tuple(weights), coeff), bindings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_cases())
+@example((
+    (1, 8),
+    AtomicGraph(
+        ext(0) + internal(1, 2, 3),
+        (
+            Edge(1, 2, EdgeKind.DOTTED),
+            Edge(2, 3, EdgeKind.CROSS_DOTTED),
+            Edge(3, 3, EdgeKind.WAVED),
+            Edge(3, 0, EdgeKind.DIFFUSIVE),
+            Edge(2, 0, EdgeKind.WAVED_PLUS),
+            Edge(1, 3, EdgeKind.G_RED),
+        ),
+        (Weight(0, WeightKind.LIGHT_RED), Weight(1, WeightKind.REGULAR_BLUE)),
+    ),
+    {0: 5},
+))
+@example(((2, 4), AtomicGraph(ext(0, 1) + internal(2), (Edge(0, 1, EdgeKind.WAVED_PLUS),)), {0: 3, 1: 9}))
+def test_evaluate_matches_brute_force(case):
+    # relative to the sum of the terms' magnitudes: centered kernels such as
+    # theta_circ sum to zero, so the value itself can cancel to round-off
+    (d, L), g, bindings = case
+    (ctx, props), (ctx_mag, props_mag) = _oracle_ctx(d, L)
+    want = evaluate_brute(g, ctx, props, bindings)
+    got = evaluate(g, ctx, props, bindings)
+    coeff = abs(g.coeff.resolve(ctx.m, ctx.N, ctx.eta))
+    magnitude = coeff * evaluate_brute(replace(g, coeff=Coefficient()), ctx_mag, props_mag, bindings).real
+    assert abs(got - want) <= 1e-12 * magnitude
 
 
 def test_second_order_graph_count_and_orders():

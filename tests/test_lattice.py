@@ -25,6 +25,18 @@ def test_index_coord_bijection():
     assert np.array_equal(lat.coord_of(lat.index_of(lat.coords)), lat.coords)
 
 
+@pytest.mark.parametrize("d, L", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_kernel_matrix_matches_pair_index(d, L):
+    lat = TorusLattice(d, L)
+    kern = np.random.default_rng(d * L).standard_normal((L,) * d)
+    idx = np.arange(lat.N)
+    want = kern.ravel()[lat.diff_flat(idx[:, None], idx[None, :])]
+    assert np.array_equal(lat.kernel_matrix(kern), want)
+    rows = idx[1::3]
+    assert np.array_equal(lat.kernel_matrix(kern, rows), want[rows])
+    assert np.array_equal(lat.kernel_matrix(kern.ravel(), rows=lat.N - 1), want[-1])
+
+
 def test_representative_examples():
     lat = TorusLattice(1, 8)
     assert representative(4, -3, lat) == np.array([-1])

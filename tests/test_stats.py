@@ -10,7 +10,7 @@ from rbmlab.errors import (
 )
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
-from rbmlab.propagators import PropagatorSet
+from rbmlab.propagators import PropagatorSet, b_kernel
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
 from rbmlab.spectral import eigensolve, resolvent, semicircle_m
 from rbmlab.stats import (
@@ -223,6 +223,35 @@ def test_local_law_ratios_large_eta():
     with pytest.raises(ParameterError):
         bad = resolvent(sample_band(prof, 62, 0), 1.95 + 0.5j, prof, check=False)
         local_law_ratios(bad, PropagatorSet.build(prof, 1.95 + 0.5j))
+
+
+def _local_law_ratios_by_pair_index(ctx, props):
+    """local_law_ratios as first written: every kernel entry looked up
+    through the all-pairs displacement index."""
+    lat, n = ctx.lattice, ctx.N
+    bker = b_kernel(lat, props.profile.W).ravel()
+    dist = lat.distance_fft.ravel()
+    idx = np.arange(n)
+    flat = lat.diff_flat(idx[:, None], idx[None, :])
+    ratio = np.abs(ctx.G) ** 2 / (bker[flat] + 1.0 / (n * ctx.eta))
+    dmat = dist[flat]
+    shells = [[s, float(ratio[dmat == s].max())] for s in range(1, int(dist.max()) + 1)]
+    return {
+        "max_diag_gap": float(np.max(np.abs(np.diagonal(ctx.G) - ctx.m))),
+        "max_offdiag_ratio": float(ratio[dmat > 0].max()),
+    }, shells
+
+
+def test_local_law_ratios_match_pair_index_formulation():
+    lat = TorusLattice(2, 8)
+    prof = build_profile(get_shape("gaussian"), 2.0, lat)
+    z = 0.2 + 0.3j
+    props = PropagatorSet.build(prof, z)
+    ctx = resolvent(sample_band(prof, 63, 0), z, prof, check=False)
+    rep = local_law_ratios(ctx, props)
+    metrics, shells = _local_law_ratios_by_pair_index(ctx, props)
+    assert {k: m.value for k, m in rep.metrics.items()} == metrics
+    assert rep.tables == {"ratio_shells": (["distance", "max_ratio"], shells)}
 
 
 def test_que_bound_ratio(small_profile):
