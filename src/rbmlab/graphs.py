@@ -7,8 +7,9 @@ bindings, internal atoms are summed over the lattice) with typed edges,
 diagonal weights, and a coefficient.  Evaluation compiles the graph into
 one einsum contraction over N x N resolvent and kernel matrices, ordered by
 numpy.einsum_path (contraction ordering as in Smith & Gray, opt_einsum,
-JOSS 2018); the path's FLOP estimate is the graph's cost and is capped.
-Enumeration over all internal assignments (evaluate_brute) is kept as the
+JOSS 2018), after summing out kernel edges into leaf indices by FFT
+convolution; N to the widest step's index count is the graph's cost and
+is capped.  Enumeration over all internal assignments (evaluate_brute) is kept as the
 oracle the contraction is tested against.
 
 Coefficients may carry symbolic powers of m, conj(m), 1/(N eta) and eta
@@ -469,6 +470,9 @@ def _checked_bindings(g: AtomicGraph, n: int, bindings) -> dict:
     return {a.id: int(bindings[a.id]) for a in g.external_atoms}
 
 
+_KERNEL_KINDS = (EdgeKind.WAVED, EdgeKind.CROSS_DOTTED, *_PROPAGATOR_KERNELS)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """An atomic graph compiled for N sites into one einsum.
@@ -476,29 +480,50 @@ class _Plan:
     Each factor reads its atoms through refs: a subscript letter for a
     summed index (an internal atom, or a dotted class of them) or the id of
     the external atom whose binding fixes the site.  Factors whose
-    subscript is empty are scalars and stay out of the einsum.
+    subscript is empty are scalars and stay out of the einsum.  Folds run
+    first and append one vector each to the factors; the einsum then reads
+    the positions in ``operands``.
     """
 
     factors: tuple  # (kind, refs, subscript)
     tied: tuple  # external atom pairs that a dotted edge puts on one site
     n_bare: int  # summed indices that no factor reads; each contributes N
+    folds: tuple  # (kernel factor, leaf end, vector positions); see _next_fold
+    operands: tuple
     subscripts: str
     path: tuple
-    flops: int
+    cost: int
 
 
-def _path_flops(subs, path, n: int) -> int:
-    """FLOP estimate of an einsum contraction path, counted the way
-    numpy.einsum_path counts it (every index has size n)."""
+def _next_fold(factors, subs, live):
+    """A kernel factor between two summed indices one of which, the leaf,
+    no other live operand reads except as a vector over that index alone.
+    Summing the leaf out is then a convolution of the kernel with the
+    product of those vectors: no N x N gather.  Returns (kernel position,
+    leaf end, vector positions) or None."""
+    for i in live:
+        if i >= len(factors):
+            continue  # an earlier fold's vector
+        kind, refs, sub = factors[i]
+        if kind not in _KERNEL_KINDS or len(sub) != 2:
+            continue
+        for end, leaf in enumerate(refs):
+            others = tuple(j for j in live if j != i and leaf in subs[j])
+            if all(subs[j] == leaf for j in others):
+                return i, end, others
+    return None
+
+
+def _widest_step(subs, path) -> int:
+    """Most indices that one step of an einsum contraction path loops over."""
     terms = [set(s) for s in subs]
-    flops = 0
+    width = 0
     for step in path[1:]:
         picked = [terms.pop(i) for i in sorted(step, reverse=True)]
         idx = set().union(*picked)
-        kept = idx & set().union(*terms)
-        flops += n ** len(idx) * (max(1, len(picked) - 1) + (kept != idx))
-        terms.append(kept)
-    return flops
+        width = max(width, len(idx))
+        terms.append(idx & set().union(*terms))
+    return width
 
 
 @lru_cache(maxsize=256)
@@ -532,28 +557,44 @@ def _compile(g: AtomicGraph, n: int) -> _Plan:
         for kind, refs in factors
     )
 
-    subs = [sub for _, _, sub in factors if sub]
-    subscripts = ",".join(subs) + "->"
+    subs = [sub for _, _, sub in factors]
+    live = [i for i, sub in enumerate(subs) if sub]
+    folds = []
+    while (fold := _next_fold(factors, subs, live)) is not None:
+        i, end, vecs = fold
+        folds.append(fold)
+        live = [j for j in live if j != i and j not in vecs] + [len(subs)]
+        subs.append(factors[i][1][1 - end])
+    subs_in = [subs[j] for j in live]
+    subscripts = ",".join(subs_in) + "->"
     path = ()
-    if subs:
+    if subs_in:
         # greedy ordering; numpy caps intermediates at the largest operand (N^2)
-        shapes = [np.broadcast_to(0.0, (n,) * len(sub)) for sub in subs]
+        shapes = [np.broadcast_to(0.0, (n,) * len(sub)) for sub in subs_in]
         path = tuple(np.einsum_path(subscripts, *shapes, optimize="greedy")[0])
+    width = max(_widest_step(subs_in, path), 1 if folds else 0)
     return _Plan(
         factors=factors,
         tied=tuple(tied),
-        n_bare=n_summed - len(set("".join(subs))),
+        n_bare=n_summed - len(set("".join(subs_in))) - len(folds),
+        folds=tuple(folds),
+        operands=tuple(live),
         subscripts=subscripts,
         path=path,
-        flops=_path_flops(subs, path, n),
+        cost=n**width,
     )
 
 
 def graph_cost(g: AtomicGraph, n: int) -> int:
-    """FLOP estimate of evaluate(g) on N = n sites: the cost of the einsum
-    contraction path, which EVAL_TERM_CAP bounds."""
+    """Work bound of evaluate(g) on N = n sites: n ** (the most summed
+    indices one step of its contraction loops over; a fold loops over one).
+
+    EVAL_TERM_CAP bounds it, as it bounds N^#internal for evaluate_brute.
+    A step only loops over summed indices, so the cost never exceeds
+    N^#internal: every graph the oracle accepts, evaluate accepts.
+    """
     _check_evaluable(g)
-    return _compile(g, int(n)).flops
+    return _compile(g, int(n)).cost
 
 
 def _kernel_factor(lat, kern, sa, sb, same):
@@ -563,8 +604,7 @@ def _kernel_factor(lat, kern, sa, sb, same):
         return np.full(lat.N, kern.flat[0])
     if sa is None and sb is not None:
         # the column k(x - x_b) is row b of the reflected kernel k(-u)
-        axes = tuple(range(lat.d))
-        kern, sa, sb = np.roll(np.flip(kern, axes), 1, axes), sb, None
+        kern, sa, sb = lat.reflect(kern), sb, None
     out = lat.kernel_matrix(kern, rows=sa)
     return out if sb is None else out[sb]
 
@@ -583,48 +623,55 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
     (or conj).  P/Q labels and labeled-diffusive edges have no numerical
     evaluator and raise.
 
-    The contraction is compiled once per graph and N; its FLOP estimate
-    (graph_cost) is capped at EVAL_TERM_CAP.  evaluate_brute is the
-    enumeration oracle it is tested against.
+    A kernel edge into a summed index that only vectors also read is summed
+    out by FFT convolution before the einsum.  The contraction is compiled
+    once per graph and N; its cost (graph_cost) is capped at EVAL_TERM_CAP.
+    evaluate_brute is the enumeration oracle it is tested against.
     """
     _check_evaluable(g)
     lat = ctx.lattice
     n = ctx.N
     bindings = _checked_bindings(g, n, bindings)
     plan = _compile(g, n)
-    if plan.flops > EVAL_TERM_CAP:
+    if plan.cost > EVAL_TERM_CAP:
         raise CapacityError(
-            f"contraction FLOP estimate {plan.flops} exceeds evaluation cap {EVAL_TERM_CAP}"
+            f"contraction cost {plan.cost} exceeds evaluation cap {EVAL_TERM_CAP}"
         )
 
     prof = props.profile if props is not None else ctx.profile
-    G = ctx.G
+    for kind, _, _ in plan.factors:
+        if kind in (EdgeKind.WAVED, EdgeKind.GHOST):
+            _need_profile(prof)
+        elif kind in _PROPAGATOR_KERNELS:
+            _need_props(props)
     scale = g.coeff.resolve(ctx.m, n, ctx.eta) * n**plan.n_bare
     if any(bindings[a] != bindings[b] for a, b in plan.tied):
         return 0j
-    operands = []
-    for kind, refs, sub in plan.factors:
+    G = ctx.G
+    folded = {i for i, _, _ in plan.folds}
+    vals = []
+    for pos, (kind, refs, sub) in enumerate(plan.factors):
         sites = [None if isinstance(r, str) else bindings[r] for r in refs]
         same = len(sub) < sum(s is None for s in sites)  # both ends on one summed index
         if kind == EdgeKind.FREE:
             val = 1.0 / (n * ctx.eta)
         elif kind == EdgeKind.GHOST:
-            val = _need_profile(prof).W ** 2 / lat.L**2
+            val = prof.W**2 / lat.L**2
         elif kind in _G_KINDS:
             sa, sb = (slice(None) if s is None else s for s in sites)
             val = np.diagonal(G) if same else G[sa, sb]
             if kind == EdgeKind.G_RED:
                 val = np.conj(val)
-        elif kind == EdgeKind.WAVED:
-            val = _kernel_factor(lat, _need_profile(prof).kernel_fft, *sites, same)
-        elif kind in _PROPAGATOR_KERNELS:
-            kern = getattr(_need_props(props), _PROPAGATOR_KERNELS[kind])
-            val = _kernel_factor(lat, kern, *sites, same)
-        elif kind == EdgeKind.CROSS_DOTTED:
-            # J - I is the displacement kernel 1 - delta(x, 0)
-            kern = np.ones((lat.L,) * lat.d)
-            kern.flat[0] = 0.0
-            val = _kernel_factor(lat, kern, *sites, same)
+        elif kind in _KERNEL_KINDS:
+            if kind == EdgeKind.WAVED:
+                kern = prof.kernel_fft
+            elif kind == EdgeKind.CROSS_DOTTED:
+                # J - I is the displacement kernel 1 - delta(x, 0)
+                kern = np.ones((lat.L,) * lat.d)
+                kern.flat[0] = 0.0
+            else:
+                kern = getattr(props, _PROPAGATOR_KERNELS[kind])
+            val = kern if pos in folded else _kernel_factor(lat, kern, *sites, same)
         else:
             (s,) = sites
             val = np.diagonal(G) if s is None else G[s, s]
@@ -632,11 +679,17 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
                 val = val - ctx.m
             if kind in (WeightKind.REGULAR_RED, WeightKind.LIGHT_RED):
                 val = np.conj(val)
-        if sub:
-            operands.append(val)
-        else:
+        if not sub:
             scale *= complex(val)
-    if operands:
+        vals.append(val)
+    for i, end, vecs in plan.folds:
+        # summing the leaf end out: k(x - y) v[y] over y, or over x with k reflected
+        v = np.ones(n)
+        for j in vecs:
+            v = v * vals[j]
+        vals.append(lat.convolve(vals[i] if end else lat.reflect(vals[i]), v))
+    if plan.operands:
+        operands = [vals[j] for j in plan.operands]
         scale *= complex(np.einsum(plan.subscripts, *operands, optimize=list(plan.path)))
     return scale
 

@@ -89,6 +89,22 @@ class TorusLattice:
         delta = np.mod(ci - cj, self.L)
         return np.ravel_multi_index(tuple(np.moveaxis(delta, -1, 0)), (self.L,) * self.d)
 
+    def reflect(self, kernel) -> np.ndarray:
+        """The displacement kernel u -> k(-u), in FFT layout like its input."""
+        axes = tuple(range(self.d))
+        kern = np.asarray(kernel).reshape((self.L,) * self.d)
+        return np.roll(np.flip(kern, axes), 1, axes)
+
+    def convolve(self, kernel, v) -> np.ndarray:
+        """(K v)[x] = sum_y k(x - y) v[y] for a displacement kernel (FFT
+        layout) and a vector v over sites, by FFT: O(N log N) time and no
+        N x N matrix.  Site and FFT axis indices differ by the constant
+        shift, which cancels in x - y.
+        """
+        shape = (self.L,) * self.d
+        out = np.fft.ifftn(np.fft.fftn(np.reshape(kernel, shape)) * np.fft.fftn(np.reshape(v, shape)))
+        return out.real.ravel() if np.isrealobj(kernel) and np.isrealobj(v) else out.ravel()
+
     def kernel_matrix(self, kernel, rows=None) -> np.ndarray:
         """Gather a displacement kernel (FFT layout) into K[x, y] = k(x - y).
 
@@ -99,11 +115,9 @@ class TorusLattice:
         the reflected kernel tiled twice per axis, copied out whole.
         """
         L, d = self.L, self.d
-        axes = tuple(range(d))
-        kern = np.asarray(kernel).reshape((L,) * d)
         # reflected[j] = k(-j), so k(x - y) = reflected(y - x), and the window
         # of the tiled reflection starting at L - x holds reflected(y - x) at y
-        tiled = np.tile(np.roll(np.flip(kern, axes), 1, axes), (2,) * d)
+        tiled = np.tile(self.reflect(kernel), (2,) * d)
         windows = sliding_window_view(tiled, (L,) * d)
         rows = np.arange(self.N) if rows is None else np.asarray(rows)
         start = L - (self.coords[rows.ravel()] + self.shift)

@@ -287,6 +287,22 @@ def test_evaluate_errors(ctx_props):
     assert graph_cost(crowded, ctx.N) <= EVAL_TERM_CAP < graph_cost(clique, ctx.N)
     with pytest.raises(CapacityError):
         evaluate(clique, ctx, props, {0: 0})
+    # a dotted edge between externals on different sites makes the value 0,
+    # but a missing kernel source still raises first
+    tied = AtomicGraph(
+        ext(0, 1),
+        (Edge(0, 1, EdgeKind.DOTTED), Edge(0, 1, EdgeKind.WAVED_PLUS), Edge(0, 1, EdgeKind.WAVED)),
+    )
+    assert evaluate(tied, ctx, props, {0: 0, 1: 1}) == 0
+    with pytest.raises(ContractError, match="PropagatorSet"):
+        evaluate(tied, replace(ctx, profile=None), None, {0: 0, 1: 1})
+
+
+def test_graph_cost_admits_what_brute_force_admits():
+    # rbm graph runs up to N = 8192, where N^2 (two internal atoms) passes
+    # the oracle's cap; the contraction must pass it too
+    for g in second_order_graphs(0, 1, 2):
+        assert graph_cost(g, 8192) <= min(EVAL_TERM_CAP, 8192 ** len(g.internal_atoms))
 
 
 _EVALUABLE_EDGES = (
@@ -375,6 +391,20 @@ def _graph_cases(draw):
     {0: 5},
 ))
 @example(((2, 4), AtomicGraph(ext(0, 1) + internal(2), (Edge(0, 1, EdgeKind.WAVED_PLUS),)), {0: 3, 1: 9}))
+@example((
+    (1, 16),
+    AtomicGraph(
+        ext(0) + internal(1, 2, 3),
+        (
+            Edge(1, 2, EdgeKind.WAVED_PLUS),
+            Edge(3, 2, EdgeKind.WAVED_PLUS),
+            Edge(0, 1, EdgeKind.G_BLUE),
+            Edge(1, 1, EdgeKind.DIFFUSIVE),
+        ),
+        (Weight(2, WeightKind.LIGHT_BLUE), Weight(3, WeightKind.REGULAR_RED)),
+    ),
+    {0: 6},
+))
 def test_evaluate_matches_brute_force(case):
     # relative to the sum of the terms' magnitudes: centered kernels such as
     # theta_circ sum to zero, so the value itself can cancel to round-off
@@ -385,6 +415,7 @@ def test_evaluate_matches_brute_force(case):
     coeff = abs(g.coeff.resolve(ctx.m, ctx.N, ctx.eta))
     magnitude = coeff * evaluate_brute(replace(g, coeff=Coefficient()), ctx_mag, props_mag, bindings).real
     assert abs(got - want) <= 1e-12 * magnitude
+    assert graph_cost(g, ctx.N) <= ctx.N ** len(g.internal_atoms)
 
 
 def test_second_order_graph_count_and_orders():

@@ -37,6 +37,19 @@ def test_kernel_matrix_matches_pair_index(d, L):
     assert np.array_equal(lat.kernel_matrix(kern.ravel(), rows=lat.N - 1), want[-1])
 
 
+@pytest.mark.parametrize("d, L", [(1, 7), (1, 8), (2, 5), (3, 4)])
+def test_reflect_and_convolve_match_kernel_matrix(d, L):
+    lat = TorusLattice(d, L)
+    rng = np.random.default_rng(d * L)
+    kern = rng.standard_normal((L,) * d)
+    K = lat.kernel_matrix(kern)
+    assert np.array_equal(lat.kernel_matrix(lat.reflect(kern)), K.T)
+    v = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
+    assert np.allclose(lat.convolve(kern, v), K @ v, rtol=0, atol=1e-12)
+    real = lat.convolve(kern, v.real)
+    assert np.isrealobj(real) and np.allclose(real, K @ v.real, rtol=0, atol=1e-12)
+
+
 def test_representative_examples():
     lat = TorusLattice(1, 8)
     assert representative(4, -3, lat) == np.array([-1])
