@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError
 from .lattice import TorusLattice
 from .profile import band_truncation_mass, build_profile, get_shape, mean_field_profile
 from .propagators import (
@@ -33,6 +33,7 @@ from .seeding import seed_substream, substream_rng
 from .spectral import (
     context_from_spectrum,
     eigensolve,
+    eigenvalues,
     resolvent,
     second_order_residual,
     second_order_terms,
@@ -323,7 +324,7 @@ def _locallaw_draw(args):
     sample = sample_band(prof, config.seed, t)
     out = {}
     if t == 0:
-        out["ks"] = semicircle_distance(np.linalg.eigvalsh(sample.matrix))
+        out["ks"] = semicircle_distance(eigenvalues(sample))
     for eta in config.eta:
         ctx = resolvent(sample, config.z(eta), prof, check=False)
         props = PropagatorSet.build(prof, ctx.z)
@@ -333,6 +334,7 @@ def _locallaw_draw(args):
             rep["max_diag_gap"],
             rep.tables["ratio_shells"],
         )
+        del ctx  # free this G before the next eta's LU allocates its own
     return out
 
 
@@ -390,7 +392,7 @@ def _gap_ratio_chunk(args):
                 )
         else:
             sample = sample_gue(config.N, _aux_master(config.seed, 4), t)
-        vals.append(gap_ratio_mean(eigensolve(sample), kappa=0.5))
+        vals.append(gap_ratio_mean(eigenvalues(sample), kappa=0.5))
     return vals
 
 
@@ -624,12 +626,21 @@ def _write_outputs(config: ExperimentConfig, report: StatReport):
         _atomic_write(os.path.join(out, f"{name}.csv"), "\n".join(body) + "\n")
 
 
+def _require_finite(report: StatReport):
+    # json.dumps would write NaN/Infinity tokens, which are not valid JSON
+    for name, m in report.metrics.items():
+        for what, v in (("value", m.value), ("stderr", m.stderr)):
+            if v is not None and not np.isfinite(v):
+                raise NumericError(f"metric {name!r} has non-finite {what} {v!r}")
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     """Validate, dispatch, persist.  Deterministic for any worker count."""
     _validate(config)
     t0 = time.perf_counter()
     report = _DISPATCH[config.experiment](config, workers)
     wall = time.perf_counter() - t0
+    _require_finite(report)
     keys = tuple(seed_substream(config.seed, t) for t in range(config.trials))
     record = ResultRecord(config, report, wall, __version__, keys)
     if config.out:

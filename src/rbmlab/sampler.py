@@ -49,16 +49,19 @@ class HermitianSample:
     provenance: Provenance
 
 
-def _hermitian_from_rng(rng, n, offdiag_var, diag_var):
-    """Draws in canonical order; offdiag_var/diag_var are arrays or scalars."""
-    iu = np.triu_indices(n, k=1)
+def _hermitian_from_rng(rng, n, iu, offdiag_var, diag_var):
+    """Draws in canonical order over the upper-triangle pairs iu of an n×n
+    matrix; offdiag_var (per pair) and diag_var are arrays or scalars."""
+    # v = (re + 1j*im) * sigma, built in place to keep the peak down
     re = rng.standard_normal(iu[0].size)
-    im = rng.standard_normal(iu[0].size)
+    v = 1j * rng.standard_normal(iu[0].size)
+    v += re
+    del re
     diag = rng.standard_normal(n)
-    h = np.zeros((n, n), dtype=complex)
-    sig = np.sqrt(np.broadcast_to(np.asarray(offdiag_var, dtype=float), iu[0].shape) / 2.0)
-    h[iu] = (re + 1j * im) * sig
-    h += h.conj().T
+    v *= np.sqrt(np.asarray(offdiag_var, dtype=float) / 2.0)
+    h = np.empty((n, n), dtype=complex)  # the three writes cover every entry
+    h[iu] = v
+    h[iu[1], iu[0]] = np.conjugate(v, out=v)
     h[np.diag_indices(n)] = diag * np.sqrt(diag_var)
     return h
 
@@ -73,9 +76,7 @@ def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample
     n = lat.N
     rng = substream_rng(seed, trial)
     iu = np.triu_indices(n, k=1)
-    offdiag_var = prof.s_pairs(iu[0], iu[1])
-    diag_var = prof.kernel_flat[0]
-    h = _hermitian_from_rng(rng, n, offdiag_var, diag_var)
+    h = _hermitian_from_rng(rng, n, iu, prof.s_pairs(*iu), prof.kernel_flat[0])
     return HermitianSample(lat, h, Provenance(seed, trial, 0.0, prof.profile_id))
 
 
@@ -97,16 +98,21 @@ def ou_evolve(
     n = lat.N
     var = (1.0 - np.exp(-t)) / n
     rng = substream_rng(seed, trial)
-    xi = _hermitian_from_rng(rng, n, var, var)
-    return HermitianSample(lat, np.exp(-t / 2.0) * h0.matrix + xi, prov)
+    xi = _hermitian_from_rng(rng, n, np.triu_indices(n, k=1), var, var)
+    xi += np.exp(-t / 2.0) * h0.matrix
+    return HermitianSample(lat, xi, prov)
 
 
 def sample_gue(n: int, seed: int, trial: int) -> HermitianSample:
-    """GUE sample normalized so the spectrum converges to [-2, 2]."""
+    """GUE sample normalized so the spectrum converges to [-2, 2]: the
+    sample_band draw of the mean-field profile S = J/N."""
     if n < 2:
         raise ParameterError(f"GUE dimension must be >= 2, got {n}")
     prof = mean_field_profile(TorusLattice(1, n))
-    return sample_band(prof, seed, trial)
+    rng = substream_rng(seed, trial)
+    var = prof.kernel_flat[0]  # every entry of S is 1/N
+    h = _hermitian_from_rng(rng, n, np.triu_indices(n, k=1), var, var)
+    return HermitianSample(prof.lattice, h, Provenance(seed, trial, 0.0, prof.profile_id))
 
 
 def dump_sample(sample: HermitianSample, path, W: float) -> None:

@@ -2,9 +2,14 @@
 they satisfy (Ward identity, zero-mode split, second-order expansion
 residual).
 
-The resolvent G(z) = (H - z)^{-1} is computed by a dense LU solve; a
-spectral route (resolvent_from_spectrum) reuses one eigendecomposition
-across an eta sweep, which dominates the local-law experiment cost.
+Three dense routes, each for the callers that need no more than it gives:
+- resolvent: G(z) = (H - z)^{-1} by an LU solve, one per z (local law,
+  Ward and T-variable checks, graph evaluation);
+- eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
+  semicircle distance); about half the cost of the full eigensystem;
+- eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
+  delocalization), from which resolvent_from_spectrum builds G(z) for
+  any z without another factorization.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +37,7 @@ __all__ = [
     "second_order_terms",
     "second_order_residual",
     "SecondOrderResult",
+    "eigenvalues",
     "eigensolve",
     "resolvent_from_spectrum",
     "context_from_spectrum",
@@ -96,16 +102,25 @@ def resolvent(
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
     h = sample.matrix
-    n = h.shape[0]
-    G = np.linalg.inv(h - z * np.eye(n))
+    G = np.linalg.inv(_shifted(h, z))
     if check:
         _check_residual(h, z, G)
     return ResolventContext(z, semicircle_m(z), G, sample, profile)
 
 
+def _shifted(h, z):
+    """A copy of h with z subtracted on its diagonal: H - z."""
+    a = h.astype(complex)
+    idx = np.arange(a.shape[0])
+    a[idx, idx] -= z
+    return a
+
+
 def _check_residual(h, z, G):
-    n = h.shape[0]
-    resid = np.max(np.abs((h - z * np.eye(n)) @ G - np.eye(n)))
+    r = _shifted(h, z) @ G
+    idx = np.arange(r.shape[0])
+    r[idx, idx] -= 1.0
+    resid = np.max(np.abs(r))
     gmax = np.max(np.abs(G))
     if resid > _RESIDUAL_TOL * (1.0 + gmax):
         raise NumericError(
@@ -286,6 +301,15 @@ def _theta_row(prof, z, a):
     return theta_circ_pairs(prof, z, a, np.arange(prof.lattice.N))
 
 
+def eigenvalues(sample: HermitianSample) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian sample, without eigenvectors."""
+    try:
+        w = np.linalg.eigvalsh(sample.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalues failed for sample {sample.provenance}") from exc
+    return _finite(w, sample)
+
+
 def eigensolve(sample: HermitianSample) -> SpectralData:
     """Dense Hermitian eigendecomposition, eigenvalues ascending."""
     try:
@@ -294,7 +318,14 @@ def eigensolve(sample: HermitianSample) -> SpectralData:
         raise NumericError(
             f"eigendecomposition failed for sample {sample.provenance}"
         ) from exc
-    return SpectralData(w, v)
+    return SpectralData(_finite(w, sample), v)
+
+
+def _finite(w, sample):
+    # some LAPACK drivers return NaN, rather than failing, for a NaN input
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"non-finite eigenvalues for sample {sample.provenance}")
+    return w
 
 
 def resolvent_from_spectrum(spec: SpectralData, z: complex) -> np.ndarray:

@@ -186,10 +186,7 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
         dmat = lat.kernel_matrix(dist, rows)
         offdiag = dmat > 0
         ratio_max = max(ratio_max, float(ratio[offdiag].max()))
-        for s in range(1, max_dist + 1):
-            sel = dmat == s
-            if sel.any():
-                shell_max[s] = max(shell_max[s], float(ratio[sel].max()))
+        np.maximum.at(shell_max, dmat.ravel(), ratio.ravel())
 
     report = StatReport(
         "local_law_ratios",

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from rbmlab import cli, harness
 from rbmlab.errors import CapacityError, ValidationError
 from rbmlab.harness import (
     ExperimentConfig,
@@ -14,8 +15,12 @@ from rbmlab.harness import (
     rerun,
     run,
 )
-from rbmlab.sampler import sample_band
+from rbmlab.lattice import TorusLattice
+from rbmlab.profile import build_profile, get_shape
+from rbmlab.sampler import ou_evolve, sample_band, sample_gue
 from rbmlab.seeding import seed_substream, substream_rng
+from rbmlab.spectral import eigensolve
+from rbmlab.stats import StatReport, gap_ratio_mean
 
 
 def test_seed_substream_deterministic():
@@ -108,6 +113,16 @@ def test_universality_experiment_with_flow():
     )
     for key in ("band_gap_ratio_mean", "gue_gap_ratio_mean", "poisson_gap_ratio_mean"):
         assert 0.0 <= rec.report[key] <= 1.0
+    # the eigenvalue-only route reproduces the full eigensystem's spectrum
+    prof = build_profile(get_shape("gaussian"), 80.0, TorusLattice(1, 80))
+    band = [
+        ou_evolve(sample_band(prof, 5, t), 0.5, prof, harness._aux_master(5, 3), t)
+        for t in range(2)
+    ]
+    gue = [sample_gue(80, harness._aux_master(5, 4), t) for t in range(2)]
+    for key, samples in (("band_gap_ratio_mean", band), ("gue_gap_ratio_mean", gue)):
+        want = np.mean([gap_ratio_mean(eigensolve(s), kappa=0.5) for s in samples])
+        assert abs(rec.report[key] - want) <= 1e-12
 
 
 def test_csv_format_output(tmp_path):
@@ -149,6 +164,21 @@ def test_cli_success_and_exit_codes(tmp_path):
 
     assert _run_cli("wardcheck", "--eta", "-1").returncode == 2
     assert _run_cli("wardcheck", "--size", "16384").returncode == 3
+
+
+@pytest.mark.parametrize("value,stderr", [(float("nan"), None), (1.0, float("inf"))])
+def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys, value, stderr):
+    def nan_experiment(config, workers):
+        report = StatReport("profile")
+        report.add("ok", 1.0, "finite", stderr=0.1)
+        report.add("broken", value, "not finite", stderr=stderr)
+        return report
+
+    monkeypatch.setitem(harness._DISPATCH, "profile", nan_experiment)
+    out = tmp_path / "nan"
+    assert cli.main(["profile", "--out", str(out)]) == 4
+    assert "'broken'" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

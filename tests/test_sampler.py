@@ -5,7 +5,7 @@ import pytest
 
 from rbmlab.errors import ParameterError
 from rbmlab.lattice import TorusLattice
-from rbmlab.profile import mean_field_profile
+from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.sampler import (
     dump_sample,
     load_sample,
@@ -13,9 +13,55 @@ from rbmlab.sampler import (
     sample_band,
     sample_gue,
 )
+from rbmlab.seeding import substream_rng
 
 TRIALS = 20_000  # scaled-down moment oracle; the full 1e5-trial version
 # runs in the acceptance suite
+
+
+def _hermitian_by_symmetrizing(rng, n, offdiag_var, diag_var):
+    # reference assembly: fill the upper triangle, then add the adjoint
+    iu = np.triu_indices(n, k=1)
+    re = rng.standard_normal(iu[0].size)
+    im = rng.standard_normal(iu[0].size)
+    diag = rng.standard_normal(n)
+    h = np.zeros((n, n), dtype=complex)
+    sig = np.sqrt(np.broadcast_to(np.asarray(offdiag_var, dtype=float), iu[0].shape) / 2.0)
+    h[iu] = (re + 1j * im) * sig
+    h += h.conj().T
+    h[np.diag_indices(n)] = diag * np.sqrt(diag_var)
+    return h
+
+
+def _reference_band(prof, seed, trial):
+    n = prof.lattice.N
+    iu = np.triu_indices(n, k=1)
+    return _hermitian_by_symmetrizing(
+        substream_rng(seed, trial), n, prof.s_pairs(iu[0], iu[1]), prof.kernel_flat[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "psi,W,d,L",
+    [("gaussian", 2.0, 1, 8), ("compact-bump", 3.0, 1, 33), ("gaussian", 2.0, 2, 6),
+     ("compact-bump", 2.0, 2, 9), ("mean-field", None, 1, 17)],
+)
+def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
+    lat = TorusLattice(d, L)
+    prof = mean_field_profile(lat) if W is None else build_profile(get_shape(psi), W, lat)
+    n = lat.N
+    for seed, trial in ((1, 0), (7, 3), (2**40 + 5, 11)):
+        h = sample_band(prof, seed, trial)
+        assert np.array_equal(h.matrix, _reference_band(prof, seed, trial))
+        for t in (0.3, 2.0):
+            var = (1.0 - np.exp(-t)) / n
+            xi = _hermitian_by_symmetrizing(substream_rng(seed + 1, trial), n, var, var)
+            want = np.exp(-t / 2.0) * h.matrix + xi
+            assert np.array_equal(ou_evolve(h, t, prof, seed + 1, trial).matrix, want)
+        gue = sample_gue(n, seed, trial)
+        want = _reference_band(mean_field_profile(TorusLattice(1, n)), seed, trial)
+        assert np.array_equal(gue.matrix, want)
+        assert gue.provenance.profile_id == f"mean-field:d=1:L={n}:W={n}"
 
 
 def test_hermitian_exact(small_profile):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rbmlab.errors import HalfPlaneError, InsufficientSamplesError
+from rbmlab.errors import HalfPlaneError, InsufficientSamplesError, NumericError
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
-from rbmlab.sampler import HermitianSample, Provenance, sample_band
+from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
 from rbmlab.spectral import (
     ResolventContext,
     eigensolve,
+    eigenvalues,
     resolvent,
     resolvent_from_spectrum,
     second_order_residual,
@@ -60,6 +61,16 @@ def test_resolvent_residual(medium_profile):
     n = ctx.N
     resid = np.max(np.abs((ctx.sample.matrix - ctx.z * np.eye(n)) @ ctx.G - np.eye(n)))
     assert resid <= 1e-10 * (1 + np.max(np.abs(ctx.G)))
+
+
+def test_resolvent_matches_inverse_of_shifted_matrix(medium_profile):
+    cases = [(sample_band(medium_profile, 5, 0), 0.3 + 0.1j),
+             (sample_band(medium_profile, 5, 1), -1.2 + 0.05j),
+             (sample_gue(32, 6, 0), -0.4 + 1.0j)]
+    for s, z in cases:
+        n = s.lattice.N
+        want = np.linalg.inv(s.matrix - z * np.eye(n))
+        assert np.array_equal(resolvent(s, z).G, want)
 
 
 def test_ward_identity_1x1_and_diagonal_case(medium_profile):
@@ -147,6 +158,26 @@ def test_eigensolve_examples():
     spec = eigensolve(_sample_from_matrix(np.diag([1.0, 2.0, 3.0])))
     assert np.allclose(spec.eigenvalues, [1, 2, 3])
     assert np.allclose(np.abs(spec.eigenvectors), np.eye(3))
+
+
+def test_eigenvalues_match_eigensolve():
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 64))
+    for s in (sample_band(prof, 3, 0), sample_band(prof, 3, 1), sample_gue(64, 4, 0)):
+        lam = eigenvalues(s)
+        assert np.all(np.diff(lam) >= 0)
+        full = eigensolve(s).eigenvalues
+        assert np.max(np.abs(lam - full)) <= 1e-12 * (1 + np.max(np.abs(full)))
+
+
+def test_non_finite_spectrum_raises(medium_profile):
+    mat = sample_band(medium_profile, 1, 0).matrix.copy()
+    mat[3, 3] = np.nan
+    bad = _sample_from_matrix(mat)
+    # depending on the LAPACK driver, a NaN input fails to converge or
+    # comes back as NaN eigenvalues; both must raise
+    for solve in (eigenvalues, eigensolve):
+        with pytest.raises(NumericError):
+            solve(bad)
 
 
 def test_eigensolve_invariants(medium_profile):
