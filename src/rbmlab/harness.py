@@ -21,19 +21,26 @@ import numpy as np
 from . import __version__
 from .errors import CapacityError, NumericError, ValidationError
 from .lattice import TorusLattice
-from .profile import band_truncation_mass, build_profile, get_shape, mean_field_profile
+from .profile import (
+    _SHAPES,
+    band_truncation_mass,
+    build_profile,
+    get_shape,
+    mean_field_profile,
+)
 from .propagators import (
     PropagatorSet,
     dense_s_plus,
     dense_theta,
     dense_theta_circ,
 )
-from .sampler import ou_evolve, sample_band, sample_gue
+from .sampler import ou_evolve, sample_band
 from .seeding import seed_substream, substream_rng
 from .spectral import (
     context_from_spectrum,
     eigensolve,
     eigenvalues,
+    gue_eigenvalues,
     resolvent,
     second_order_residual,
     second_order_terms,
@@ -80,6 +87,7 @@ EXPERIMENTS = (
 _DENSE_N_CAP = 8192
 _TRIAL_CHUNK = 64  # fixed so the split never depends on the worker count
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
+_PSI_NAMES = (*_SHAPES, "mean-field")
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ def _validate(config: ExperimentConfig):
         bad.append(f"flow_time={config.flow_time} must be >= 0")
     if config.fmt not in ("csv", "json"):
         bad.append(f"format={config.fmt!r} must be csv or json")
-    if config.psi not in ("gaussian", "compact-bump", "mean-field"):
+    if config.psi not in _PSI_NAMES:
         bad.append(f"psi={config.psi!r} unknown")
     if bad:
         raise ValidationError("invalid config: " + "; ".join(bad))
@@ -319,15 +327,13 @@ def _locallaw_draw(args):
     # per (draw, eta) the LU inverse is cheaper than one eigendecomposition
     # amortized over a short eta grid; the KS statistic needs eigenvalues
     # only once, computed without eigenvectors on draw 0
-    config, t = args
-    prof = _profile_for(config)
+    config, prof, props_by_eta, t = args
     sample = sample_band(prof, config.seed, t)
     out = {}
     if t == 0:
         out["ks"] = semicircle_distance(eigenvalues(sample))
-    for eta in config.eta:
-        ctx = resolvent(sample, config.z(eta), prof, check=False)
-        props = PropagatorSet.build(prof, ctx.z)
+    for eta, props in props_by_eta.items():
+        ctx = resolvent(sample, props.z, prof, check=False)
         rep = local_law_ratios(ctx, props)
         out[eta] = (
             rep["max_offdiag_ratio"],
@@ -339,8 +345,13 @@ def _locallaw_draw(args):
 
 
 def _exp_locallaw(config, workers):
+    # the propagators depend on (profile, z) only: build them once per eta
+    prof = _profile_for(config)
+    props_by_eta = {eta: PropagatorSet.build(prof, config.z(eta)) for eta in config.eta}
     draws = _map_chunks(
-        _locallaw_draw, [(config, t) for t in range(config.trials)], workers
+        _locallaw_draw,
+        [(config, prof, props_by_eta, t) for t in range(config.trials)],
+        workers,
     )
     report = StatReport("locallaw", params=_params(config))
     report.add(
@@ -390,9 +401,10 @@ def _gap_ratio_chunk(args):
                 sample = ou_evolve(
                     sample, config.flow_time, prof, _aux_master(config.seed, 3), t
                 )
+            spectrum = eigenvalues(sample)
         else:
-            sample = sample_gue(config.N, _aux_master(config.seed, 4), t)
-        vals.append(gap_ratio_mean(eigenvalues(sample), kappa=0.5))
+            spectrum = gue_eigenvalues(config.N, _aux_master(config.seed, 4), t)
+        vals.append(gap_ratio_mean(spectrum, kappa=0.5))
     return vals
 
 
@@ -613,13 +625,7 @@ def _write_outputs(config: ExperimentConfig, report: StatReport):
     if config.fmt == "json":
         _atomic_write(os.path.join(out, "metrics.json"), report.to_json())
     else:
-        lines = ["metric,value,stderr,n,definition"]
-        for k in sorted(report.metrics):
-            m = report.metrics[k]
-            stderr = "" if m.stderr is None else repr(m.stderr)
-            definition = m.definition.replace(",", ";")
-            lines.append(f"{k},{m.value!r},{stderr},{m.n},{definition}")
-        _atomic_write(os.path.join(out, "metrics.csv"), "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(out, "metrics.csv"), report.csv_text())
     for name, (header, rows) in report.tables.items():
         body = [",".join(map(str, header))]
         body += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]

@@ -49,19 +49,27 @@ class HermitianSample:
     provenance: Provenance
 
 
-def _hermitian_from_rng(rng, n, iu, offdiag_var, diag_var):
-    """Draws in canonical order over the upper-triangle pairs iu of an n×n
-    matrix; offdiag_var (per pair) and diag_var are arrays or scalars."""
+def _strict_upper(n):
+    """Boolean mask of the pairs x < y; its row-major order is the
+    lexicographic pair order of the canonical draws."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+def _hermitian_from_rng(rng, n, upper, offdiag_var, diag_var):
+    """Draws in canonical order over the strict-upper mask of an n×n matrix;
+    offdiag_var (per pair, in mask order) and diag_var are arrays or scalars."""
     # v = (re + 1j*im) * sigma, built in place to keep the peak down
-    re = rng.standard_normal(iu[0].size)
-    v = 1j * rng.standard_normal(iu[0].size)
+    m = n * (n - 1) // 2
+    re = rng.standard_normal(m)
+    v = 1j * rng.standard_normal(m)
     v += re
     del re
     diag = rng.standard_normal(n)
     v *= np.sqrt(np.asarray(offdiag_var, dtype=float) / 2.0)
     h = np.empty((n, n), dtype=complex)  # the three writes cover every entry
-    h[iu] = v
-    h[iu[1], iu[0]] = np.conjugate(v, out=v)
+    h[upper] = v
+    # the k-th True of upper in h.T's row-major order is entry (y, x) of pair k
+    h.T[upper] = np.conjugate(v, out=v)
     h[np.diag_indices(n)] = diag * np.sqrt(diag_var)
     return h
 
@@ -75,8 +83,9 @@ def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample
     lat = prof.lattice
     n = lat.N
     rng = substream_rng(seed, trial)
-    iu = np.triu_indices(n, k=1)
-    h = _hermitian_from_rng(rng, n, iu, prof.s_pairs(*iu), prof.kernel_flat[0])
+    upper = _strict_upper(n)
+    s_upper = lat.kernel_matrix(prof.kernel_fft)[upper]
+    h = _hermitian_from_rng(rng, n, upper, s_upper, prof.kernel_flat[0])
     return HermitianSample(lat, h, Provenance(seed, trial, 0.0, prof.profile_id))
 
 
@@ -98,20 +107,21 @@ def ou_evolve(
     n = lat.N
     var = (1.0 - np.exp(-t)) / n
     rng = substream_rng(seed, trial)
-    xi = _hermitian_from_rng(rng, n, np.triu_indices(n, k=1), var, var)
+    xi = _hermitian_from_rng(rng, n, _strict_upper(n), var, var)
     xi += np.exp(-t / 2.0) * h0.matrix
     return HermitianSample(lat, xi, prov)
 
 
 def sample_gue(n: int, seed: int, trial: int) -> HermitianSample:
     """GUE sample normalized so the spectrum converges to [-2, 2]: the
-    sample_band draw of the mean-field profile S = J/N."""
+    sample_band draw of the mean-field profile S = J/N.  The dense oracle
+    for spectral.gue_eigenvalues, which draws the same eigenvalue law."""
     if n < 2:
         raise ParameterError(f"GUE dimension must be >= 2, got {n}")
     prof = mean_field_profile(TorusLattice(1, n))
     rng = substream_rng(seed, trial)
     var = prof.kernel_flat[0]  # every entry of S is 1/N
-    h = _hermitian_from_rng(rng, n, np.triu_indices(n, k=1), var, var)
+    h = _hermitian_from_rng(rng, n, _strict_upper(n), var, var)
     return HermitianSample(prof.lattice, h, Provenance(seed, trial, 0.0, prof.profile_id))
 
 

@@ -10,8 +10,15 @@ Three dense routes, each for the callers that need no more than it gives:
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
   delocalization), from which resolvent_from_spectrum builds G(z) for
   any z without another factorization.
+
+The GUE oracle of the universality comparison is read only through its
+eigenvalue law, so gue_eigenvalues draws that law directly from the beta=2
+Hermite tridiagonal model (O(N) draws, one real eigvalsh) rather than
+factoring a dense complex GUE matrix; the dense sampler.sample_gue stays as
+its test oracle.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,9 +29,11 @@ from .errors import (
     HalfPlaneError,
     InsufficientSamplesError,
     NumericError,
+    ParameterError,
 )
 from .profile import VarianceProfile
 from .sampler import HermitianSample, sample_band
+from .seeding import substream_rng
 
 __all__ = [
     "semicircle_m",
@@ -38,6 +47,7 @@ __all__ = [
     "second_order_residual",
     "SecondOrderResult",
     "eigenvalues",
+    "gue_eigenvalues",
     "eigensolve",
     "resolvent_from_spectrum",
     "context_from_spectrum",
@@ -268,19 +278,33 @@ def second_order_residual(
     else:
         partials = [_residual_chunk(t) for t in args]
 
-    n = trials
-    tot = np.sum([p[0] for p in partials])
-    tot_re2 = np.sum([p[1] for p in partials])
-    tot_im2 = np.sum([p[2] for p in partials])
-    mean = tot / n
-    var_re = max(tot_re2 / n - mean.real**2, 0.0)
-    var_im = max(tot_im2 / n - mean.imag**2, 0.0)
+    n, mean, m2 = functools.reduce(_merge_moments, partials)
+    var_re, var_im = m2 / n
     return SecondOrderResult(
         complex(mean),
         float(np.sqrt(var_re / n)),
         float(np.sqrt(var_im / n)),
         n,
     )
+
+
+def _moments(values):
+    """(n, mean, M2) of complex values, with M2 = [sum of squared deviations
+    of the real parts, same for the imaginary parts] about the mean."""
+    mean = values.mean()
+    dev = values - mean
+    return values.size, mean, np.array([np.sum(dev.real**2), np.sum(dev.imag**2)])
+
+
+def _merge_moments(a, b):
+    """Pairwise update of two (n, mean, M2) partials (Chan, Golub and
+    LeVeque), stable where sum(x^2)/n - mean^2 cancels catastrophically."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    m2 = m2_a + m2_b + np.array([delta.real**2, delta.imag**2]) * (na * nb / n)
+    return n, mean_a + delta * (nb / n), m2
 
 
 def _residual_chunk(args):
@@ -291,8 +315,7 @@ def _residual_chunk(args):
     stack[:, idx, idx] -= z
     G = np.linalg.inv(stack)
     T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
-    R = T - lead - zm - corr
-    return R.sum(), np.sum(R.real**2), np.sum(R.imag**2)
+    return _moments(T - lead - zm - corr)
 
 
 def _theta_row(prof, z, a):
@@ -303,11 +326,33 @@ def _theta_row(prof, z, a):
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian sample, without eigenvectors."""
-    try:
-        w = np.linalg.eigvalsh(sample.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalues failed for sample {sample.provenance}") from exc
-    return _finite(w, sample)
+    return _eigvalsh(sample.matrix, f"sample {sample.provenance}")
+
+
+def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
+    """Ascending spectrum with the law of sampler.sample_gue(n, seed, trial)'s
+    eigenvalues, drawn from the beta=2 Hermite tridiagonal model.
+
+    Dumitriu and Edelman (J. Math. Phys. 43, 2002): the real symmetric
+    tridiagonal matrix with diagonal N(0, 2) and off-diagonal entries
+    chi_{beta(n-i)}, i = 1..n-1, has the Gaussian beta-ensemble eigenvalue
+    law; at beta = 2 that is the GUE's.  Scaled by 1/sqrt(beta n), the
+    spectrum fills [-2, 2] like sample_gue's.  The draws from
+    substream_rng(seed, trial) come in a fixed order: n standard normals
+    (the diagonal), then n - 1 chi-squares with degrees of freedom
+    2(n-1), ..., 2 (the squared off-diagonal).
+    """
+    if n < 2:
+        raise ParameterError(f"GUE dimension must be >= 2, got {n}")
+    beta = 2.0
+    rng = substream_rng(seed, trial)
+    scale = 1.0 / np.sqrt(beta * n)
+    diag = rng.standard_normal(n) * (np.sqrt(2.0) * scale)
+    off = np.sqrt(rng.chisquare(beta * np.arange(n - 1, 0, -1))) * scale
+    t = np.diag(diag)
+    t.flat[1 :: n + 1] = off  # superdiagonal
+    t.flat[n :: n + 1] = off  # subdiagonal
+    return _eigvalsh(t, f"GUE tridiagonal model (n={n}, seed={seed}, trial={trial})")
 
 
 def eigensolve(sample: HermitianSample) -> SpectralData:
@@ -318,13 +363,21 @@ def eigensolve(sample: HermitianSample) -> SpectralData:
         raise NumericError(
             f"eigendecomposition failed for sample {sample.provenance}"
         ) from exc
-    return SpectralData(_finite(w, sample), v)
+    return SpectralData(_finite(w, f"sample {sample.provenance}"), v)
 
 
-def _finite(w, sample):
+def _eigvalsh(a, what):
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalues failed for {what}") from exc
+    return _finite(w, what)
+
+
+def _finite(w, what):
     # some LAPACK drivers return NaN, rather than failing, for a NaN input
     if not np.all(np.isfinite(w)):
-        raise NumericError(f"non-finite eigenvalues for sample {sample.provenance}")
+        raise NumericError(f"non-finite eigenvalues for {what}")
     return w
 
 

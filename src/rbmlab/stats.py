@@ -7,7 +7,6 @@ sampling oracles inside the same run; no literature constants enter any
 assertion.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -126,15 +125,20 @@ class StatReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
+    def csv_text(self) -> str:
+        """Metrics as CSV text, one row per metric in name order; commas in
+        a definition become semicolons, so no field is quoted."""
+        lines = ["metric,value,stderr,n,definition"]
+        for k in sorted(self.metrics):
+            m = self.metrics[k]
+            stderr = "" if m.stderr is None else repr(m.stderr)
+            definition = m.definition.replace(",", ";")
+            lines.append(f"{k},{m.value!r},{stderr},{m.n},{definition}")
+        return "\n".join(lines) + "\n"
+
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value", "stderr", "n", "definition"])
-            for k in sorted(self.metrics):
-                m = self.metrics[k]
-                writer.writerow(
-                    [k, repr(m.value), "" if m.stderr is None else repr(m.stderr), m.n, m.definition]
-                )
+        with open(path, "w") as fh:
+            fh.write(self.csv_text())
 
 
 def semicircle_cdf(x) -> np.ndarray:

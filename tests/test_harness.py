@@ -17,10 +17,11 @@ from rbmlab.harness import (
 )
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape
-from rbmlab.sampler import ou_evolve, sample_band, sample_gue
+from rbmlab.propagators import PropagatorSet
+from rbmlab.sampler import ou_evolve, sample_band
 from rbmlab.seeding import seed_substream, substream_rng
-from rbmlab.spectral import eigensolve
-from rbmlab.stats import StatReport, gap_ratio_mean
+from rbmlab.spectral import eigensolve, gue_eigenvalues, resolvent
+from rbmlab.stats import StatReport, gap_ratio_mean, local_law_ratios
 
 
 def test_seed_substream_deterministic():
@@ -119,16 +120,36 @@ def test_universality_experiment_with_flow():
         ou_evolve(sample_band(prof, 5, t), 0.5, prof, harness._aux_master(5, 3), t)
         for t in range(2)
     ]
-    gue = [sample_gue(80, harness._aux_master(5, 4), t) for t in range(2)]
-    for key, samples in (("band_gap_ratio_mean", band), ("gue_gap_ratio_mean", gue)):
-        want = np.mean([gap_ratio_mean(eigensolve(s), kappa=0.5) for s in samples])
-        assert abs(rec.report[key] - want) <= 1e-12
+    want = np.mean([gap_ratio_mean(eigensolve(s), kappa=0.5) for s in band])
+    assert abs(rec.report["band_gap_ratio_mean"] - want) <= 1e-12
+    # the GUE oracle is the tridiagonal-model spectrum of its own substream
+    gue = [gue_eigenvalues(80, harness._aux_master(5, 4), t) for t in range(2)]
+    want = np.mean([gap_ratio_mean(w, kappa=0.5) for w in gue])
+    assert rec.report["gue_gap_ratio_mean"] == want
+
+
+def test_locallaw_matches_per_draw_propagators():
+    # propagators built once per eta give the metrics of building them per draw
+    cfg = ExperimentConfig("locallaw", d=2, L=10, W=2.0, eta=(0.2, 0.6), trials=2, seed=8)
+    rep = run(cfg).report
+    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 10))
+    for eta in cfg.eta:
+        ratio = diag = 0.0
+        for t in range(cfg.trials):
+            ctx = resolvent(sample_band(prof, 8, t), cfg.z(eta), prof, check=False)
+            r = local_law_ratios(ctx, PropagatorSet.build(prof, ctx.z))
+            ratio = max(ratio, r["max_offdiag_ratio"])
+            diag = max(diag, r["max_diag_gap"])
+        assert rep[f"max_offdiag_ratio_eta_{eta:g}"] == ratio
+        assert rep[f"max_diag_gap_eta_{eta:g}"] == diag
 
 
 def test_csv_format_output(tmp_path):
     out = tmp_path / "csvrun"
-    run(ExperimentConfig("profile", d=1, L=16, W=2.0, out=str(out), fmt="csv"))
-    lines = (out / "metrics.csv").read_text().splitlines()
+    rec = run(ExperimentConfig("profile", d=1, L=16, W=2.0, out=str(out), fmt="csv"))
+    text = (out / "metrics.csv").read_text()
+    assert text == rec.report.csv_text()
+    lines = text.splitlines()
     assert lines[0] == "metric,value,stderr,n,definition"
     assert (out / "kernel.csv").exists() and (out / "symbol.csv").exists()
 

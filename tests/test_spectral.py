@@ -5,10 +5,12 @@ from rbmlab.errors import HalfPlaneError, InsufficientSamplesError, NumericError
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
+from rbmlab import spectral
 from rbmlab.spectral import (
     ResolventContext,
     eigensolve,
     eigenvalues,
+    gue_eigenvalues,
     resolvent,
     resolvent_from_spectrum,
     second_order_residual,
@@ -19,6 +21,7 @@ from rbmlab.spectral import (
     zero_mode_split,
 )
 from rbmlab.propagators import theta_circ_pairs
+from rbmlab.stats import gap_ratio_mean
 
 
 def _sample_from_matrix(mat):
@@ -154,6 +157,19 @@ def test_second_order_residual_mean_field():
     assert zr <= 5 and zi <= 5
 
 
+def test_chunk_moments_merge_stably_under_a_common_offset():
+    rng = np.random.default_rng(9)
+    x = 1e8 + rng.standard_normal(1000) + 1j * (-3e8 + 2.0 * rng.standard_normal(1000))
+    parts = [spectral._moments(x[a:b]) for a, b in ((0, 1), (1, 300), (300, 1000))]
+    n, mean, m2 = parts[0]
+    for p in parts[1:]:
+        n, mean, m2 = spectral._merge_moments((n, mean, m2), p)
+    assert n == x.size
+    assert mean == pytest.approx(x.mean(), rel=1e-15)
+    assert m2[0] / n == pytest.approx(np.var(x.real), rel=1e-9)
+    assert m2[1] / n == pytest.approx(np.var(x.imag), rel=1e-9)
+
+
 def test_eigensolve_examples():
     spec = eigensolve(_sample_from_matrix(np.diag([1.0, 2.0, 3.0])))
     assert np.allclose(spec.eigenvalues, [1, 2, 3])
@@ -178,6 +194,49 @@ def test_non_finite_spectrum_raises(medium_profile):
     for solve in (eigenvalues, eigensolve):
         with pytest.raises(NumericError):
             solve(bad)
+
+
+def _zscore(a, b):
+    se = np.hypot(a.std(ddof=1) / np.sqrt(a.size), b.std(ddof=1) / np.sqrt(b.size))
+    return abs(a.mean() - b.mean()) / se
+
+
+def test_gue_eigenvalues_match_dense_gue():
+    # same eigenvalue law as the dense GUE oracle: bulk gap ratio and the
+    # 2nd/4th spectral moments (semicircle: 1 and 2) agree within |z| <= 4
+    n, trials = 200, 120
+    tri = [gue_eigenvalues(n, 21, t) for t in range(trials)]
+    dense = [eigenvalues(sample_gue(n, 22, t)) for t in range(trials)]
+    assert all(np.all(np.diff(w) >= 0) for w in tri)
+    for stat in (
+        lambda w: gap_ratio_mean(w, kappa=0.5),
+        lambda w: np.mean(w**2),
+        lambda w: np.mean(w**4),
+    ):
+        a = np.array([stat(w) for w in tri])
+        b = np.array([stat(w) for w in dense])
+        assert _zscore(a, b) <= 4.0
+
+
+def test_gue_eigenvalues_reproducible():
+    w = gue_eigenvalues(50, 3, 7)
+    assert w.shape == (50,)
+    assert np.array_equal(w, gue_eigenvalues(50, 3, 7))
+    assert not np.array_equal(w, gue_eigenvalues(50, 3, 8))
+
+
+class _NaNRng:
+    def standard_normal(self, size):
+        return np.full(size, np.nan)
+
+    def chisquare(self, df):
+        return np.ones(np.shape(df))
+
+
+def test_gue_eigenvalues_non_finite_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "substream_rng", lambda seed, trial: _NaNRng())
+    with pytest.raises(NumericError):
+        gue_eigenvalues(20, 1, 0)
 
 
 def test_eigensolve_invariants(medium_profile):
