@@ -13,7 +13,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from .spectral import (
     semicircle_m,
     t_three,
     ward_residual,
+    ward_sentinel,
     zero_mode_split,
 )
 from .stats import (
@@ -88,6 +88,7 @@ _DENSE_N_CAP = 8192
 _TRIAL_CHUNK = 64  # fixed so the split never depends on the worker count
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _PSI_NAMES = (*_SHAPES, "mean-field")
+_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,8 @@ def _aux_master(seed: int, purpose: int) -> int:
 
 def _map_chunks(fn, chunk_args, workers: int):
     if workers > 1 and len(chunk_args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, chunk_args))
     return [fn(a) for a in chunk_args]
@@ -230,9 +233,10 @@ def _ward_chunk(args):
     rng = substream_rng(_aux_master(config.seed, 1), t0)
     z = config.z()
     n = prof.lattice.N
-    worst = worst_scaled = worst_zm = 0.0
+    worst = worst_scaled = worst_zm = worst_sentinel = 0.0
     for t in range(t0, t1):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
+        worst_sentinel = max(worst_sentinel, ward_sentinel(ctx))
         resid = ward_residual(ctx)
         scale = 1e-9 * max(1.0, n * float(np.max(np.abs(ctx.G))) ** 2)
         a, b1, b2 = (int(rng.integers(0, n)) for _ in range(3))
@@ -242,7 +246,7 @@ def _ward_chunk(args):
         worst = max(worst, resid)
         worst_scaled = max(worst_scaled, resid / scale)
         worst_zm = max(worst_zm, rel)
-    return worst, worst_scaled, worst_zm
+    return worst, worst_scaled, worst_zm, worst_sentinel
 
 
 def _exp_wardcheck(config, workers):
@@ -267,6 +271,9 @@ def _exp_wardcheck(config, workers):
         max(p[2] for p in parts),
         "max relative error of the zero-mode split reconstruction",
         config.trials,
+    )
+    report.add(
+        "max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, config.trials
     )
     return report
 
@@ -324,23 +331,24 @@ def _exp_propcheck(config, workers):
 
 
 def _locallaw_draw(args):
-    # per (draw, eta) the LU inverse is cheaper than one eigendecomposition
+    # per (draw, eta) the dense inverse is cheaper than one eigendecomposition
     # amortized over a short eta grid; the KS statistic needs eigenvalues
     # only once, computed without eigenvectors on draw 0
     config, prof, props_by_eta, t = args
     sample = sample_band(prof, config.seed, t)
-    out = {}
+    out = {"sentinel": 0.0}
     if t == 0:
         out["ks"] = semicircle_distance(eigenvalues(sample))
     for eta, props in props_by_eta.items():
         ctx = resolvent(sample, props.z, prof, check=False)
+        out["sentinel"] = max(out["sentinel"], ward_sentinel(ctx))
         rep = local_law_ratios(ctx, props)
         out[eta] = (
             rep["max_offdiag_ratio"],
             rep["max_diag_gap"],
             rep.tables["ratio_shells"],
         )
-        del ctx  # free this G before the next eta's LU allocates its own
+        del ctx  # free this G before the next eta's inverse allocates its own
     return out
 
 
@@ -383,6 +391,12 @@ def _exp_locallaw(config, workers):
         float(decreasing),
         "1 if the max ratio decreases along the ascending eta grid",
         config.trials,
+    )
+    report.add(
+        "max_ward_sentinel_dev",
+        max(d["sentinel"] for d in draws),
+        _SENTINEL_DEF,
+        config.trials * len(etas),
     )
     header, rows = draws[0][etas[-1]][2]
     report.tables["ratio_shells_eta_max"] = (header, rows)
@@ -516,6 +530,7 @@ def _exp_graph(config, workers):
     z = config.z()
     props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
+    sentinel = ward_sentinel(ctx)
 
     t3_graph = AtomicGraph(
         (Atom(0, False), Atom(1, False), Atom(2, False), Atom(3, True)),
@@ -557,6 +572,7 @@ def _exp_graph(config, workers):
     report.add("eval_gap_expansion", gap_exp, "|sum of expansion graph values - spectral terms|")
     report.add("scaling_orders_ok", float(orders_ok), "1 if hand-derived orders match")
     report.add("doubly_connected_ok", float(dc_ok), "1 if the built-in truth table matches")
+    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF)
     return report
 
 
@@ -565,6 +581,7 @@ def _exp_pgon(config, workers):
     n = prof.lattice.N
     z = config.z()
     ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
+    sentinel = ward_sentinel(ctx)
     value, scale = pgon_average(ctx, np.arange(n), 2, "+-")
     ward_form = float(np.sum(np.imag(np.diagonal(ctx.G)))) / (n**2 * z.imag)
     report = StatReport("pgon", params=_params(config))
@@ -576,6 +593,7 @@ def _exp_pgon(config, workers):
         abs(value - ward_form),
         "|2-gon average - (N eta)^-1 N^-1 sum Im G_yy|",
     )
+    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF)
     return report
 
 

@@ -3,8 +3,10 @@ they satisfy (Ward identity, zero-mode split, second-order expansion
 residual).
 
 Three dense routes, each for the callers that need no more than it gives:
-- resolvent: G(z) = (H - z)^{-1} by an LU solve, one per z (local law,
-  Ward and T-variable checks, graph evaluation);
+- resolvent: G(z) = (H - z)^{-1}, one inverse per z (local law, Ward and
+  T-variable checks, graph evaluation), by a 2x2 block Schur recursion
+  whose work is matrix products (about N^3 complex multiply-adds, against
+  4/3 N^3 for an LU solve against the identity);
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
   semicircle distance); about half the cost of the full eigensystem;
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
@@ -16,6 +18,14 @@ eigenvalue law, so gue_eigenvalues draws that law directly from the beta=2
 Hermite tridiagonal model (O(N) draws, one real eigvalsh) rather than
 factoring a dense complex GUE matrix; the dense sampler.sample_gue stays as
 its test oracle.
+
+The block recursion does not pivot across blocks, and need not: for
+Im z = eta > 0 every leading principal block of H - z is H_11 - z with H_11
+Hermitian, so its inverse has norm <= 1/eta, and every Schur complement's
+inverse is a diagonal block of G, of norm <= 1/eta as well (equivalently,
+i(H - z) has Hermitian part eta*I > 0).  LAPACK, with its own pivoting,
+inverts the blocks at and below _BLOCK_MIN.  Every harness resolvent passes
+ward_sentinel, the column Ward identity, in O(N^2).
 """
 
 import functools
@@ -41,6 +51,7 @@ __all__ = [
     "SpectralData",
     "resolvent",
     "ward_residual",
+    "ward_sentinel",
     "t_three",
     "zero_mode_split",
     "second_order_terms",
@@ -54,6 +65,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_WARD_SENTINEL_TOL = 1e-6  # relative; round-off gives <= 1e-10 at eta = 1e-3, ~1/eta
+_BLOCK_MIN = 128  # largest block _block_inv hands to LAPACK (64-256 time alike)
 
 
 def semicircle_m(z):
@@ -107,12 +120,12 @@ def resolvent(
     sample: HermitianSample, z: complex, profile: Optional[VarianceProfile] = None,
     check: bool = True,
 ) -> ResolventContext:
-    """Dense solve of (H - z) G = I for Im z > 0."""
+    """Dense inverse G = (H - z)^{-1} for Im z > 0, by _block_inv."""
     z = complex(z)
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
     h = sample.matrix
-    G = np.linalg.inv(_shifted(h, z))
+    G = _block_inv(_shifted(h, z))
     if check:
         _check_residual(h, z, G)
     return ResolventContext(z, semicircle_m(z), G, sample, profile)
@@ -124,6 +137,40 @@ def _shifted(h, z):
     idx = np.arange(a.shape[0])
     a[idx, idx] -= z
     return a
+
+
+def _block_inv(a):
+    """Inverse of each matrix in a stack a of shape (..., n, n), by the 2x2
+    block Schur recursion: with X = A11^{-1} and S = A22 - A21 X A12,
+
+        G = [[X + X A12 Y A21 X, -X A12 Y], [-Y A21 X, Y]],  Y = S^{-1}.
+
+    Six half-size products per level; blocks of n <= _BLOCK_MIN go to
+    np.linalg.inv.  No pivoting across blocks: every matrix must have
+    invertible leading principal blocks and Schur complements, which holds
+    for H - z with H Hermitian and Im z > 0 (see the module docstring).
+    """
+    n = a.shape[-1]
+    if n <= _BLOCK_MIN:
+        return np.linalg.inv(a)
+    k = n // 2
+    a12, a21, a22 = a[..., :k, k:], a[..., k:, :k], a[..., k:, k:]
+    x = _block_inv(a[..., :k, :k])
+    nxa12 = x @ a12
+    nxa12 *= -1  # -X A12
+    na21x = a21 @ x
+    na21x *= -1  # -A21 X
+    s = a21 @ nxa12
+    s += a22  # Schur complement A22 - A21 X A12
+    y = _block_inv(s)
+    del s  # before the output is allocated
+    g = np.empty_like(a)
+    g[..., k:, k:] = y
+    np.matmul(nxa12, y, out=g[..., :k, k:])
+    np.matmul(y, na21x, out=g[..., k:, :k])
+    np.matmul(nxa12, g[..., k:, :k], out=g[..., :k, :k])
+    g[..., :k, :k] += x
+    return g
 
 
 def _check_residual(h, z, G):
@@ -147,6 +194,29 @@ def ward_residual(ctx: ResolventContext) -> float:
     lhs = G.conj().T @ G
     rhs = (G - G.conj().T) / (2j * ctx.eta)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def ward_sentinel(ctx: ResolventContext) -> float:
+    """Largest relative deviation over columns y of the Ward identity
+    sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
+    _WARD_SENTINEL_TOL.
+
+    O(N^2) and free of N x N temporaries (sums over the real and imaginary
+    views), so it can guard every resolvent a run computes.
+    """
+    G = ctx.G
+    col = np.einsum("xy,xy->y", G.real, G.real)
+    col += np.einsum("xy,xy->y", G.imag, G.imag)
+    rhs = np.diagonal(G).imag / ctx.eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # col > 0 for any inverse; a negative Im G_yy then reads as dev > 1
+        dev = float(np.max(np.abs(col - rhs) / col))
+    if not dev <= _WARD_SENTINEL_TOL:  # also catches NaN
+        raise NumericError(
+            f"Ward sentinel: relative deviation {dev:.3e} exceeds "
+            f"{_WARD_SENTINEL_TOL:.0e} for sample {ctx.sample.provenance}, z={ctx.z}"
+        )
+    return dev
 
 
 def _require_profile(ctx):
@@ -313,7 +383,7 @@ def _residual_chunk(args):
     stack = np.stack([sample_band(prof, seed, t).matrix for t in range(t0, t1)])
     idx = np.arange(stack.shape[-1])
     stack[:, idx, idx] -= z
-    G = np.linalg.inv(stack)
+    G = _block_inv(stack)
     T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
     return _moments(T - lead - zm - corr)
 

@@ -202,6 +202,31 @@ def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("experiment", ["wardcheck", "locallaw", "graph", "pgon"])
+def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, capsys, experiment):
+    from rbmlab import spectral
+
+    clean_inv = spectral._block_inv
+
+    def corrupted_inv(a):
+        G = clean_inv(a)
+        G[..., 1, 2] *= 1.01
+        return G
+
+    monkeypatch.setattr(spectral, "_block_inv", corrupted_inv)
+    out = tmp_path / experiment
+    args = [experiment, "--dim", "1", "--size", "16", "--band", "2", "--trials", "2"]
+    assert cli.main([*args, "--out", str(out)]) == 4
+    assert "Ward sentinel" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+def test_resolvent_experiments_record_the_ward_sentinel():
+    for experiment in ("wardcheck", "locallaw", "graph", "pgon"):
+        rep = run(ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=(0.1, 0.5), trials=2)).report
+        assert 0.0 <= rep["max_ward_sentinel_dev"] <= 1e-10, experiment
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("experiment=wardcheck\nd=1\nL=32\nW=4\ntrials=2\nseed=9\neta=0.4\n")

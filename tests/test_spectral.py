@@ -76,6 +76,59 @@ def test_resolvent_matches_inverse_of_shifted_matrix(medium_profile):
         assert np.array_equal(resolvent(s, z).G, want)
 
 
+@pytest.mark.parametrize("d,L", [(1, 129), (1, 300), (2, 16), (2, 23), (0, 333)])
+def test_block_resolvent_matches_lapack_above_cutoff(d, L):
+    # d = 0 stands for a GUE draw of size L; odd and even splits both occur
+    if d:
+        prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(d, L))
+        s = sample_band(prof, 11, 0)
+    else:
+        s = sample_gue(L, 12, 0)
+    n = s.lattice.N
+    assert n > spectral._BLOCK_MIN
+    for E in (0.3, -1.9, 2.6):
+        for eta in (1e-3, 0.1, 1.0):
+            z = complex(E, eta)
+            a = s.matrix - z * np.eye(n)
+            G = resolvent(s, z).G  # check=True: the residual bound holds
+            want = np.linalg.inv(a)
+            gmax = np.max(np.abs(want))
+            # either inverse is off by ~eps * cond(H - z) relative; at
+            # eta = 1e-3 in the bulk cond_1 reaches 2e4 and the two differ
+            # by up to 6e-16 * cond_1 * (1 + max|G|)
+            cond1 = np.linalg.norm(a, 1) * np.linalg.norm(want, 1)
+            tol = 1e-12 if eta >= 0.1 else max(1e-12, 1e-14 * cond1)
+            assert np.max(np.abs(G - want)) <= tol * (1 + gmax), (E, eta)
+            resid = np.max(np.abs(a @ G - np.eye(n)))
+            assert resid <= spectral._RESIDUAL_TOL * (1 + np.max(np.abs(G)))
+
+
+def test_block_inverse_of_a_stack():
+    n = 2 * spectral._BLOCK_MIN + 3
+    zs = np.array([0.2 + 0.05j, -1.0 + 0.5j])
+    stack = np.stack([sample_gue(n, 13, t).matrix for t in range(2)])
+    idx = np.arange(n)
+    stack[:, idx, idx] -= zs[:, None]
+    G = spectral._block_inv(stack)
+    want = np.linalg.inv(stack)
+    assert G.shape == stack.shape
+    assert np.max(np.abs(G - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))
+    ctx = resolvent(sample_band(prof, 14, 0), 0.3 + 0.01j, prof)
+    assert 0.0 <= spectral.ward_sentinel(ctx) <= 1e-9
+    G = ctx.G
+    bumped, flipped, holed = G.copy(), G.copy(), G.copy()
+    bumped[3, 5] += 1e-3 * np.abs(G).max()
+    flipped[7, 7] = G[7, 7].conj()  # Im G_77 < 0
+    holed[0, 9] = np.nan
+    for bad in (bumped, flipped, holed, G * (1.0 + 1e-4)):
+        with pytest.raises(NumericError, match="Ward sentinel"):
+            spectral.ward_sentinel(ResolventContext(ctx.z, ctx.m, bad, ctx.sample, prof))
+
+
 def test_ward_identity_1x1_and_diagonal_case(medium_profile):
     z = 0.3 + 0.1j
     ctx1 = resolvent(_sample_from_matrix([[0.4]]), z)
