@@ -10,24 +10,16 @@ failure.  --config points at a flat key=value file; explicit flags win.
 """
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 from .errors import CapacityError, NumericError, ParameterError, ValidationError
 from .harness import EXPERIMENTS, ExperimentConfig, parse_config_file, rerun, run
 
-_FLAG_FIELDS = {
-    "dim": ("d", int),
-    "size": ("L", int),
-    "band": ("W", float),
-    "psi": ("psi", str),
-    "energy": ("E", float),
-    "eta": ("eta", None),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "flow_time": ("flow_time", float),
-    "out": ("out", str),
-    "format": ("fmt", str),
-}
+# config fields whose flag has another name; every other field except
+# `experiment` has a flag of its own name
+_FLAG_OF = {"d": "dim", "L": "size", "W": "band", "E": "energy", "fmt": "format"}
 
 
 def _parse_eta(text) -> tuple:
@@ -61,28 +53,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _cast_of(field_type):
+    # the type itself, or the non-None member of an optional type
+    return next((t for t in typing.get_args(field_type) if t is not type(None)), field_type)
+
+
+# config field -> cast from text, taken from the ExperimentConfig field types
+_CASTS = {f.name: _cast_of(f.type) for f in dataclasses.fields(ExperimentConfig)}
+_CASTS["eta"] = _parse_eta
+
+
+def _cast(key, val):
+    if key not in _CASTS:
+        raise ValidationError(f"unknown config key {key!r}")
+    try:
+        return _CASTS[key](val)
+    except ValueError:
+        raise ValidationError(f"bad value {val!r} for config key {key!r}") from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     values = {"experiment": args.experiment}
     if args.config:
-        raw = parse_config_file(args.config)
-        for key, val in raw.items():
-            if key == "experiment":
-                values["experiment"] = val
-            elif key == "eta":
-                values["eta"] = _parse_eta(val)
-            elif key in ("d", "L", "trials", "seed"):
-                values[key] = int(val)
-            elif key in ("W", "E", "flow_time"):
-                values[key] = float(val)
-            elif key in ("psi", "out", "fmt"):
-                values[key] = val
-            else:
-                raise ValidationError(f"unknown config key {key!r}")
-    for flag, (field_name, cast) in _FLAG_FIELDS.items():
-        val = getattr(args, flag)
-        if val is None:
-            continue
-        values[field_name] = _parse_eta(val) if field_name == "eta" else cast(val)
+        for key, val in parse_config_file(args.config).items():
+            values[key] = _cast(key, val)
+    for name in _CASTS.keys() - {"experiment"}:
+        val = getattr(args, _FLAG_OF.get(name, name))
+        if val is not None:
+            values[name] = _cast(name, val)
     return ExperimentConfig(**values)
 
 

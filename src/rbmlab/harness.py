@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .propagators import (
     dense_theta_circ,
 )
 from .sampler import ou_evolve, sample_band
-from .seeding import seed_substream, substream_rng
+from .seeding import _chunk_ranges, _map_chunks, seed_substream, substream_rng
 from .spectral import (
     context_from_spectrum,
     eigensolve,
@@ -60,6 +60,7 @@ from .stats import (
     que_trace,
     semicircle_distance,
 )
+from .tables import site_table, table_text
 
 __all__ = [
     "EXPERIMENTS",
@@ -85,7 +86,6 @@ EXPERIMENTS = (
 )
 
 _DENSE_N_CAP = 8192
-_TRIAL_CHUNK = 64  # fixed so the split never depends on the worker count
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _PSI_NAMES = (*_SHAPES, "mean-field")
 _SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
@@ -120,7 +120,11 @@ class ResultRecord:
     report: StatReport
     wall_time: float
     version: str
-    substream_keys: tuple = field(repr=False, default=())
+
+    @property
+    def substream_keys(self) -> tuple:
+        """The substream key of every trial, computed when read."""
+        return tuple(seed_substream(self.config.seed, t) for t in range(self.config.trials))
 
 
 def _validate(config: ExperimentConfig):
@@ -167,19 +171,6 @@ def _aux_master(seed: int, purpose: int) -> int:
     return seed_substream(seed, 2**40 + purpose)
 
 
-def _map_chunks(fn, chunk_args, workers: int):
-    if workers > 1 and len(chunk_args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, chunk_args))
-    return [fn(a) for a in chunk_args]
-
-
-def _chunk_ranges(trials: int):
-    return [(t0, min(t0 + _TRIAL_CHUNK, trials)) for t0 in range(0, trials, _TRIAL_CHUNK)]
-
-
 # --- experiments ----------------------------------------------------------
 
 
@@ -187,8 +178,7 @@ def _exp_profile(config, workers):
     prof = _profile_for(config)
     lat = prof.lattice
     kern = prof.kernel_fft
-    idx_flip = tuple(np.mod(-np.indices(kern.shape), lat.L))
-    sym_err = float(np.max(np.abs(kern - kern[idx_flip])))
+    sym_err = float(np.max(np.abs(kern - lat.reflect(kern))))
     lam = prof.symbol_fft.ravel()
     lam_rest = np.delete(lam, 0)
     gap = 1.0 - float(lam_rest.max()) if lam_rest.size else 1.0
@@ -210,20 +200,8 @@ def _exp_profile(config, workers):
         band_truncation_mass(prof, 0.5),
         "kernel mass at distance >= W^1.5",
     )
-    coords = lat.coords
-    flat = kern.ravel()
-    fft_of_site = [
-        int(np.ravel_multi_index(tuple(np.mod(c, lat.L)), kern.shape)) for c in coords
-    ]
-    report.tables["kernel"] = (
-        [f"x{i+1}" for i in range(lat.d)] + ["f"],
-        [list(map(int, c)) + [float(flat[j])] for c, j in zip(coords, fft_of_site)],
-    )
-    sym_flat = prof.symbol_fft.ravel()
-    report.tables["symbol"] = (
-        [f"k{i+1}" for i in range(lat.d)] + ["lambda"],
-        [list(map(int, c)) + [float(sym_flat[j])] for c, j in zip(coords, fft_of_site)],
-    )
+    report.tables["kernel"] = site_table(lat, kern, "x", "f")
+    report.tables["symbol"] = site_table(lat, prof.symbol_fft, "k", "lambda")
     return report
 
 
@@ -283,11 +261,11 @@ def _exp_texp2(config, workers):
     n = prof.lattice.N
     report = StatReport("texp2", params=_params(config))
     triples = [s for s in _TEXP2_SITES if max(s) < n] or [(0, 0, 0)]
+    results = second_order_residual(
+        prof, config.z(), triples, config.trials, config.seed, workers=workers
+    )
     worst_z = 0.0
-    for a, b1, b2 in triples:
-        res = second_order_residual(
-            prof, config.z(), a, b1, b2, config.trials, config.seed, workers=workers
-        )
+    for (a, b1, b2), res in zip(triples, results):
         key = f"sites_{a}_{b1}_{b2}"
         report.add(f"mean_re_{key}", res.mean.real, "mean residual, real part", res.trials, res.stderr_re)
         report.add(f"mean_im_{key}", res.mean.imag, "mean residual, imag part", res.trials, res.stderr_im)
@@ -424,17 +402,9 @@ def _gap_ratio_chunk(args):
 
 def _exp_universality(config, workers):
     chunks = _chunk_ranges(config.trials)
-    band = sum(
-        _map_chunks(
-            _gap_ratio_chunk, [(config, a, b, "band") for a, b in chunks], workers
-        ),
-        [],
-    )
-    gue = sum(
-        _map_chunks(
-            _gap_ratio_chunk, [(config, a, b, "gue") for a, b in chunks], workers
-        ),
-        [],
+    band, gue = (
+        sum(_map_chunks(_gap_ratio_chunk, [(config, a, b, which) for a, b in chunks], workers), [])
+        for which in ("band", "gue")
     )
     rng = substream_rng(_aux_master(config.seed, 5), 0)
     poisson = [
@@ -610,9 +580,15 @@ _DISPATCH = {
 }
 
 
-def _params(config: ExperimentConfig) -> dict:
+def _config_dict(config: ExperimentConfig) -> dict:
+    """Every config field, JSON-ready (eta as a list)."""
     d = dataclasses.asdict(config)
     d["eta"] = list(config.eta)
+    return d
+
+
+def _params(config: ExperimentConfig) -> dict:
+    d = _config_dict(config)
     d.pop("out")  # volatile; lives in the manifest, not in the metrics
     return d
 
@@ -636,18 +612,14 @@ def _atomic_write(path: str, text: str):
 def _write_outputs(config: ExperimentConfig, report: StatReport):
     out = config.out
     os.makedirs(out, exist_ok=True)
-    full = dataclasses.asdict(config)
-    full["eta"] = list(config.eta)
-    manifest = {"config": full, "version": __version__, "seed": config.seed}
+    manifest = {"config": _config_dict(config), "version": __version__, "seed": config.seed}
     _atomic_write(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True))
     if config.fmt == "json":
         _atomic_write(os.path.join(out, "metrics.json"), report.to_json())
     else:
         _atomic_write(os.path.join(out, "metrics.csv"), report.csv_text())
     for name, (header, rows) in report.tables.items():
-        body = [",".join(map(str, header))]
-        body += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
-        _atomic_write(os.path.join(out, f"{name}.csv"), "\n".join(body) + "\n")
+        _atomic_write(os.path.join(out, f"{name}.csv"), table_text(header, rows))
 
 
 def _require_finite(report: StatReport):
@@ -665,8 +637,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     report = _DISPATCH[config.experiment](config, workers)
     wall = time.perf_counter() - t0
     _require_finite(report)
-    keys = tuple(seed_substream(config.seed, t) for t in range(config.trials))
-    record = ResultRecord(config, report, wall, __version__, keys)
+    record = ResultRecord(config, report, wall, __version__)
     if config.out:
         _write_outputs(config, report)
     return record

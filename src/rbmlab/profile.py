@@ -11,7 +11,6 @@ Fourier modes) is the forward DFT of the kernel.  Kernels and symbols are
 stored in FFT layout (axis index = displacement/mode mod L).
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ProfilePositivityError
 from .lattice import TorusLattice
+from .tables import site_table, write_table
 
 __all__ = [
     "ShapeFunction",
@@ -122,21 +122,10 @@ class VarianceProfile:
         return self.lattice.kernel_matrix(self.kernel_fft)
 
     def export_kernel_csv(self, path) -> None:
-        _export_site_function_csv(self.lattice, self.kernel_fft, path, "x", "f")
+        write_table(path, *site_table(self.lattice, self.kernel_fft, "x", "f"))
 
     def export_symbol_csv(self, path) -> None:
-        _export_site_function_csv(self.lattice, self.symbol_fft, path, "k", "lambda")
-
-
-def _export_site_function_csv(lat, arr_fft, path, axis_name, value_name) -> None:
-    flat = np.asarray(arr_fft).ravel()
-    shape = (lat.L,) * lat.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{axis_name}{i + 1}" for i in range(lat.d)] + [value_name])
-        for c in lat.coords:
-            j = np.ravel_multi_index(tuple(np.mod(c, lat.L)), shape)
-            writer.writerow(list(map(int, c)) + [repr(float(flat[j]))])
+        write_table(path, *site_table(self.lattice, self.symbol_fft, "k", "lambda"))
 
 
 def build_profile(psi: ShapeFunction, W: float, lat: TorusLattice) -> VarianceProfile:

@@ -8,7 +8,6 @@ synthesis is the production path; dense matrix inversion exists only as a
 test oracle gated to N <= 512.
 """
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .errors import CapacityError, HalfPlaneError, ParameterError, RangeError
 from .lattice import TorusLattice, torus_distance
 from .profile import VarianceProfile
 from .spectral import semicircle_m
+from .tables import write_table
 
 __all__ = [
     "PropagatorSet",
@@ -38,11 +38,6 @@ __all__ = [
 _DENSE_CAP = 512
 
 
-def _synthesize(prof: VarianceProfile, multiplier: np.ndarray) -> np.ndarray:
-    """Inverse DFT of a symbol-space multiplier; d-dim kernel, FFT layout."""
-    return np.fft.ifftn(multiplier)
-
-
 def theta_circ(prof: VarianceProfile, z: complex) -> np.ndarray:
     """Diffusive kernel: |m|^2 S / (1 - |m|^2 S) with the uniform Fourier
     mode removed.  Real d-dim array in FFT layout; sums to zero."""
@@ -54,15 +49,13 @@ def theta_circ(prof: VarianceProfile, z: complex) -> np.ndarray:
     mult = mm * lam / (1.0 - mm * lam)
     mult = mult.copy()
     mult.flat[0] = 0.0
-    return _synthesize(prof, mult).real
+    return np.fft.ifftn(mult).real
 
 
 def theta_full(prof: VarianceProfile, z: complex) -> np.ndarray:
     """Uncentered diffusive kernel: theta_circ plus the constant uniform-mode
     contribution Im m / (N eta)."""
-    z = complex(z)
-    m = semicircle_m(z)
-    return theta_circ(prof, z) + m.imag / (prof.lattice.N * z.imag)
+    return PropagatorSet.build(prof, z).theta_fft
 
 
 def s_pm(prof: VarianceProfile, z: complex):
@@ -73,7 +66,7 @@ def s_pm(prof: VarianceProfile, z: complex):
     m2 = semicircle_m(z) ** 2
     lam = prof.symbol_fft
     mult = m2 * lam / (1.0 - m2 * lam)
-    plus = _synthesize(prof, mult)
+    plus = np.fft.ifftn(mult)
     return plus, plus.conj()
 
 
@@ -221,10 +214,5 @@ def dense_s_plus(prof: VarianceProfile, z: complex) -> np.ndarray:
 def export_kernel_csv(prof: VarianceProfile, z: complex, path) -> None:
     """Shell-aggregated kernel report: distance, |theta_circ|, B, ratio."""
     rep = theta_bound_report(prof, z, tau=0.0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance", "abs_theta_circ", "b_profile", "ratio"])
-        for s, t, b, r in zip(
-            rep["distances"], rep["theta_max"], rep["b_value"], rep["shell_ratio"]
-        ):
-            writer.writerow([int(s), repr(float(t)), repr(float(b)), repr(float(r))])
+    rows = zip(*(rep[k].tolist() for k in ("distances", "theta_max", "b_value", "shell_ratio")))
+    write_table(path, ["distance", "abs_theta_circ", "b_profile", "ratio"], rows)

@@ -1,9 +1,14 @@
-"""Deterministic substream derivation for parallel Monte Carlo.
+"""Deterministic substream derivation and the one chunked trial map.
 
 Every trial draws from its own generator keyed by a stateless hash of
 (master seed, trial index), so results never depend on scheduling order or
 worker count.  The mixing constants below are fixed; any implementation
 using them reproduces the keys bit-for-bit.
+
+Trial loops go through _map_chunks over _chunk_ranges: trials are split
+into chunks of _TRIAL_CHUNK, a size fixed independently of the pool, each
+chunk is one task, and the results come back in chunk order, so a
+reduction over them is the same for any worker count.
 """
 
 import numpy as np
@@ -12,6 +17,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+_TRIAL_CHUNK = 64  # fixed so the split never depends on the worker count
 
 
 def _mix64(x: int) -> int:
@@ -37,3 +44,19 @@ def seed_substream(master: int, trial: int) -> int:
 def substream_rng(master: int, trial: int) -> np.random.Generator:
     """Fresh PCG64 generator for one trial's draws."""
     return np.random.default_rng(seed_substream(master, trial))
+
+
+def _chunk_ranges(trials: int):
+    """[(t0, t1), ...] covering range(trials) in chunks of _TRIAL_CHUNK."""
+    return [(t0, min(t0 + _TRIAL_CHUNK, trials)) for t0 in range(0, trials, _TRIAL_CHUNK)]
+
+
+def _map_chunks(fn, chunk_args, workers: int):
+    """[fn(a) for a in chunk_args], in order, on a process pool of `workers`
+    when there is more than one worker and more than one chunk."""
+    if workers > 1 and len(chunk_args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, chunk_args))
+    return [fn(a) for a in chunk_args]

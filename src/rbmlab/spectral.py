@@ -26,6 +26,11 @@ inverse is a diagonal block of G, of norm <= 1/eta as well (equivalently,
 i(H - z) has Hermitian part eta*I > 0).  LAPACK, with its own pivoting,
 inverts the blocks at and below _BLOCK_MIN.  Every harness resolvent passes
 ward_sentinel, the column Ward identity, in O(N^2).
+
+second_order_residual takes all its site triples at once: each chunk of
+trials (seeding._chunk_ranges, through the shared seeding._map_chunks) is
+drawn once, stacked and inverted once by _block_inv, and every triple is
+evaluated on that stack by _second_order_batch.
 """
 
 import functools
@@ -43,7 +48,7 @@ from .errors import (
 )
 from .profile import VarianceProfile
 from .sampler import HermitianSample, sample_band
-from .seeding import substream_rng
+from .seeding import _chunk_ranges, _map_chunks, substream_rng
 
 __all__ = [
     "semicircle_m",
@@ -311,51 +316,47 @@ class SecondOrderResult:
         )
 
 
-_CHUNK = 4096  # fixed batch size; reduction runs in trial order
-
-
 def second_order_residual(
     prof: VarianceProfile,
     z: complex,
-    a: int,
-    b1: int,
-    b2: int,
+    sites,
     trials: int,
     seed: int,
     workers: int = 1,
-) -> SecondOrderResult:
-    """Monte Carlo mean of the second-order expansion residual.
+) -> list:
+    """Monte Carlo means of the second-order expansion residual, one
+    SecondOrderResult per site triple (a, b1, b2) in `sites`, in order.
 
-    The omitted fluctuation terms have zero partial expectation, so the
-    residual mean is an exact statistical zero; the returned standard
-    errors support a z-test.  Deterministic in (seed, trials) for any
-    worker count.
+    Each trial is drawn and inverted once, and every triple is evaluated on
+    that resolvent.  The omitted fluctuation terms have zero partial
+    expectation, so each residual mean is an exact statistical zero; the
+    returned standard errors support a z-test per triple.  Deterministic in
+    (seed, trials) for any worker count.
     """
+    from .propagators import theta_circ
+
     if trials < 100:
         raise InsufficientSamplesError(f"need at least 100 trials, got {trials}")
+    lat = prof.lattice
+    sites = [tuple(int(s) for s in triple) for triple in sites]
+    if not sites or any(len(t) != 3 or min(t) < 0 or max(t) >= lat.N for t in sites):
+        raise ParameterError(f"need site triples with entries in [0, {lat.N}), got {sites}")
     z = complex(z)
     S = prof.dense_matrix()
-    theta_row = _theta_row(prof, z, a)
-
-    starts = list(range(0, trials, _CHUNK))
-    args = [(prof, z, a, b1, b2, seed, s, min(s + _CHUNK, trials), S, theta_row)
-            for s in starts]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_residual_chunk, args))
-    else:
-        partials = [_residual_chunk(t) for t in args]
-
-    n, mean, m2 = functools.reduce(_merge_moments, partials)
-    var_re, var_im = m2 / n
-    return SecondOrderResult(
-        complex(mean),
-        float(np.sqrt(var_re / n)),
-        float(np.sqrt(var_im / n)),
-        n,
+    theta_rows = lat.kernel_matrix(theta_circ(prof, z), [a for a, _, _ in sites])
+    partials = _map_chunks(
+        _residual_chunk,
+        [(prof, z, sites, theta_rows, S, seed, t0, t1) for t0, t1 in _chunk_ranges(trials)],
+        workers,
     )
+    results = []
+    for i in range(len(sites)):
+        n, mean, m2 = functools.reduce(_merge_moments, (p[i] for p in partials))
+        var_re, var_im = m2 / n
+        results.append(SecondOrderResult(
+            complex(mean), float(np.sqrt(var_re / n)), float(np.sqrt(var_im / n)), n
+        ))
+    return results
 
 
 def _moments(values):
@@ -378,20 +379,19 @@ def _merge_moments(a, b):
 
 
 def _residual_chunk(args):
-    prof, z, a, b1, b2, seed, t0, t1, S, theta_row = args
+    """Residual moments of trials [t0, t1) for every site triple, from one
+    stack of draws inverted once."""
+    prof, z, sites, theta_rows, S, seed, t0, t1 = args
     m = semicircle_m(z)
     stack = np.stack([sample_band(prof, seed, t).matrix for t in range(t0, t1)])
     idx = np.arange(stack.shape[-1])
     stack[:, idx, idx] -= z
     G = _block_inv(stack)
-    T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
-    return _moments(T - lead - zm - corr)
-
-
-def _theta_row(prof, z, a):
-    from .propagators import theta_circ_pairs
-
-    return theta_circ_pairs(prof, z, a, np.arange(prof.lattice.N))
+    out = []
+    for (a, b1, b2), theta_row in zip(sites, theta_rows):
+        T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
+        out.append(_moments(T - lead - zm - corr))
+    return out
 
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:

@@ -26,6 +26,7 @@ from .propagators import PropagatorSet, b_kernel, d_eta_exponent
 from .sampler import sample_band
 from .seeding import substream_rng
 from .spectral import ResolventContext, SpectralData, eigensolve, resolvent
+from .tables import table_text
 
 __all__ = [
     "TestDiagonal",
@@ -128,13 +129,11 @@ class StatReport:
     def csv_text(self) -> str:
         """Metrics as CSV text, one row per metric in name order; commas in
         a definition become semicolons, so no field is quoted."""
-        lines = ["metric,value,stderr,n,definition"]
-        for k in sorted(self.metrics):
-            m = self.metrics[k]
-            stderr = "" if m.stderr is None else repr(m.stderr)
-            definition = m.definition.replace(",", ";")
-            lines.append(f"{k},{m.value!r},{stderr},{m.n},{definition}")
-        return "\n".join(lines) + "\n"
+        rows = [
+            [k, m.value, "" if m.stderr is None else m.stderr, m.n, m.definition.replace(",", ";")]
+            for k, m in sorted(self.metrics.items())
+        ]
+        return table_text(["metric", "value", "stderr", "n", "definition"], rows)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -268,12 +267,7 @@ def que_bound_ratio(
     se = float(vals.std(ddof=1) / np.sqrt(trials))
 
     pi_abs = np.abs(pi.values)
-    shape = (lat.L,) * lat.d
-    # |Pi| as a displacement field in FFT layout for the circulant product
-    pi_fft = np.zeros(shape)
-    pi_fft.ravel()[lat.diff_flat(np.arange(lat.N), lat.index_of([0] * lat.d))] = pi_abs
-    conv = np.fft.ifftn(np.fft.fftn(b_kernel(lat, prof.W)) * np.fft.fftn(pi_fft)).real
-    bound = float(pi_abs.sum() * conv.max())
+    bound = float(pi_abs.sum() * lat.convolve(b_kernel(lat, prof.W), pi_abs).max())
 
     report = StatReport(
         "que_bound_ratio", params={"z": str(z), "trials": trials, "N": lat.N}

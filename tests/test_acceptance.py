@@ -155,8 +155,9 @@ def test_criterion_05_second_order_expansion():
     prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 8))
     z = 0.2 + 0.5j
     lines = []
-    for sites in [(0, 0, 0), (0, 1, 3), (2, 5, 5)]:
-        res = second_order_residual(prof, z, *sites, trials=200_000, seed=SEED + 4)
+    triples = [(0, 0, 0), (0, 1, 3), (2, 5, 5)]
+    results = second_order_residual(prof, z, triples, trials=200_000, seed=SEED + 4)
+    for sites, res in zip(triples, results):
         assert abs(res.mean.real) <= 5 * res.stderr_re, (sites, res)
         assert abs(res.mean.imag) <= 5 * res.stderr_im, (sites, res)
         zr, zi = res.zscores

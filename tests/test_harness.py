@@ -238,6 +238,15 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["W"] == 4.0  # file value kept
 
 
+@pytest.mark.parametrize("line", ["L = abc", "trials = 2.5", "eta = x", "colour = red"])
+def test_cli_config_file_bad_value_exits_2(tmp_path, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"d=1\n{line}\n")
+    res = _run_cli("wardcheck", "--config", str(cfg), "--trials", "2")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
 def test_cli_rerun(tmp_path):
     out = tmp_path / "r1"
     res = _run_cli(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rbmlab.errors import ParameterError
+from rbmlab.harness import ExperimentConfig, run
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import (
     band_truncation_mass,
@@ -149,3 +150,9 @@ def test_csv_exports(tmp_path):
     total = sum(float(ln.rsplit(",", 1)[1]) for ln in lines[1:])
     assert abs(total - 1.0) < 1e-12
     assert sp.read_text().splitlines()[0] == "k1,k2,lambda"
+    # the profile experiment writes the same tables, byte for byte, LF line ends
+    out = tmp_path / "run"
+    run(ExperimentConfig("profile", d=2, L=4, W=2.0, out=str(out)))
+    assert (out / "kernel.csv").read_bytes() == kp.read_bytes()
+    assert (out / "symbol.csv").read_bytes() == sp.read_bytes()
+    assert b"\r" not in kp.read_bytes()

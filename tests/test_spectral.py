@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from rbmlab.errors import HalfPlaneError, InsufficientSamplesError, NumericError
+from rbmlab.errors import (
+    HalfPlaneError,
+    InsufficientSamplesError,
+    NumericError,
+    ParameterError,
+)
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
@@ -196,18 +201,71 @@ def test_second_order_terms_consistency(small_profile):
 
 
 def test_second_order_residual_smoke_and_validation(small_profile):
-    res = second_order_residual(small_profile, 0.2 + 0.5j, 0, 1, 3, 100, seed=5)
+    [res] = second_order_residual(small_profile, 0.2 + 0.5j, [(0, 1, 3)], 100, seed=5)
     assert np.isfinite(res.mean.real) and np.isfinite(res.stderr_re)
     assert res.trials == 100
     with pytest.raises(InsufficientSamplesError):
-        second_order_residual(small_profile, 0.2 + 0.5j, 0, 1, 3, 99, seed=5)
+        second_order_residual(small_profile, 0.2 + 0.5j, [(0, 1, 3)], 99, seed=5)
 
 
 def test_second_order_residual_mean_field():
     prof = mean_field_profile(TorusLattice(1, 8))
-    res = second_order_residual(prof, 0.2 + 0.5j, 0, 1, 3, 4000, seed=6)
+    [res] = second_order_residual(prof, 0.2 + 0.5j, [(0, 1, 3)], 4000, seed=6)
     zr, zi = res.zscores
     assert zr <= 5 and zi <= 5
+
+
+_TRIPLES = [(0, 1, 3), (0, 0, 0), (2, 5, 5)]  # a = 0 twice
+
+
+def test_second_order_residual_matches_per_trial_oracle(small_profile):
+    z, trials, seed = 0.2 + 0.5j, 300, 21
+    results = second_order_residual(small_profile, z, _TRIPLES, trials, seed)
+    resid = np.empty((len(_TRIPLES), trials), dtype=complex)
+    for t in range(trials):
+        ctx = resolvent(sample_band(small_profile, seed, t), z, small_profile, check=False)
+        for i, (a, b1, b2) in enumerate(_TRIPLES):
+            theta_row = theta_circ_pairs(small_profile, z, a, np.arange(8))
+            T, lead, zm, corr = second_order_terms(ctx, theta_row, a, b1, b2)
+            resid[i, t] = T - lead - zm - corr
+    assert len(results) == len(_TRIPLES)
+    for res, r in zip(results, resid):
+        assert res.trials == trials
+        assert abs(res.mean - r.mean()) <= 1e-12 * abs(r.mean())
+        assert res.stderr_re == pytest.approx(np.sqrt(r.real.var() / trials), rel=1e-12)
+        assert res.stderr_im == pytest.approx(np.sqrt(r.imag.var() / trials), rel=1e-12)
+
+
+def test_second_order_residual_same_for_any_worker_count(small_profile):
+    one = second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 300, seed=4, workers=1)
+    two = second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 300, seed=4, workers=2)
+    assert one == two
+
+
+def test_second_order_residual_draws_and_inverts_each_trial_once(small_profile, monkeypatch):
+    draws, inverted = [], []
+    sample = spectral.sample_band
+    block_inv = spectral._block_inv
+
+    def counting_sample(prof, seed, t):
+        draws.append(t)
+        return sample(prof, seed, t)
+
+    def counting_inv(a):
+        inverted.append(a.shape[0])
+        return block_inv(a)
+
+    monkeypatch.setattr(spectral, "sample_band", counting_sample)
+    monkeypatch.setattr(spectral, "_block_inv", counting_inv)
+    second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 200, seed=8)
+    assert sorted(draws) == list(range(200))
+    assert sum(inverted) == 200
+
+
+@pytest.mark.parametrize("sites", [[(-1, 0, 0)], [(0, 1, 8)], [(0, 1)], []])
+def test_second_order_residual_rejects_sites_off_the_lattice(small_profile, sites):
+    with pytest.raises(ParameterError):
+        second_order_residual(small_profile, 0.2 + 0.5j, sites, 100, seed=1)
 
 
 def test_chunk_moments_merge_stably_under_a_common_offset():

@@ -30,6 +30,7 @@ from rbmlab.stats import (
     semicircle_cdf,
     semicircle_distance,
 )
+from rbmlab.tables import table_text
 
 
 def _fixed(mat):
@@ -254,6 +255,17 @@ def test_local_law_ratios_match_pair_index_formulation():
     assert rep.tables == {"ratio_shells": (["distance", "max_ratio"], shells)}
 
 
+def _bound_scale_by_displacement_field(prof, pi):
+    # |Pi| scattered into FFT layout as a displacement field, convolved with
+    # the B kernel by three explicit FFTs
+    lat = prof.lattice
+    pi_abs = np.abs(pi.values)
+    pi_fft = np.zeros((lat.L,) * lat.d)
+    pi_fft.ravel()[lat.diff_flat(np.arange(lat.N), lat.index_of([0] * lat.d))] = pi_abs
+    conv = np.fft.ifftn(np.fft.fftn(b_kernel(lat, prof.W)) * np.fft.fftn(pi_fft)).real
+    return float(pi_abs.sum() * conv.max())
+
+
 def test_que_bound_ratio(small_profile):
     pi = box_indicator(small_profile.lattice, 4)
     rep = que_bound_ratio(small_profile, 0.2 + 0.5j, pi, trials=20, seed=3)
@@ -266,6 +278,12 @@ def test_que_bound_ratio(small_profile):
         que_bound_ratio(small_profile, 0.2 + 0.5j, TestDiagonal(np.zeros(8), trace_zero=True), 20, 3)
     with pytest.raises(InsufficientSamplesError):
         que_bound_ratio(small_profile, 0.2 + 0.5j, pi, trials=10, seed=3)
+    # the bound scale equals the displacement-field formula in d = 1 and d = 2
+    prof_2d = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 6))
+    for prof, side in ((small_profile, 3), (prof_2d, 2)):
+        pi = box_indicator(prof.lattice, side)
+        rep = que_bound_ratio(prof, 0.2 + 0.5j, pi, trials=20, seed=3)
+        assert rep["bound_scale"] == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
 
 
 def test_diagnostic_norms(small_profile):
@@ -317,3 +335,9 @@ def test_stat_report_serialization(tmp_path):
     assert lines[0] == "metric,value,stderr,n,definition"
     assert len(lines) == 3
     assert rep["alpha"] == 1.5
+    # numpy scalars are written by value, like Python numbers
+    text = table_text(["k", "v"], [[1, np.float64(0.1)], [np.int64(2), 1 / 3]])
+    assert text == "k,v\n1,0.1\n2,0.3333333333333333\n"
+    rep = StatReport("demo")
+    rep.add("gamma", 2.0, "a, b", stderr=np.float64(0.25))
+    assert rep.csv_text() == "metric,value,stderr,n,definition\ngamma,2.0,0.25,1,a; b\n"
