@@ -50,6 +50,7 @@ from .spectral import (
     zero_mode_split,
 )
 from .stats import (
+    _SENTINEL_DEF,
     StatReport,
     box_indicator,
     gap_ratio_mean,
@@ -88,7 +89,6 @@ EXPERIMENTS = (
 _DENSE_N_CAP = 8192
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _PSI_NAMES = (*_SHAPES, "mean-field")
-_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,18 @@ def _validate(config: ExperimentConfig):
         bad.append(f"d={config.d} must be >= 1")
     if config.L < 2:
         bad.append(f"L={config.L} must be >= 2")
-    if config.W < 1:
-        bad.append(f"W={config.W} must be >= 1")
+    if not (np.isfinite(config.W) and config.W >= 1):
+        bad.append(f"W={config.W} must be finite and >= 1")
     if config.d * np.log2(max(config.L, 2)) > 30:
         bad.append(f"d*log2(L) = {config.d * np.log2(config.L):.1f} exceeds 30")
-    if not all(e > 0 for e in config.eta):
-        bad.append(f"eta={config.eta} must be positive")
+    if not all(np.isfinite(e) and e > 0 for e in config.eta):
+        bad.append(f"eta={config.eta} must be finite and positive")
     if not abs(config.E) < 2:
         bad.append(f"E={config.E} must satisfy |E| < 2")
     if config.trials < 1:
         bad.append(f"trials={config.trials} must be >= 1")
-    if config.flow_time < 0:
-        bad.append(f"flow_time={config.flow_time} must be >= 0")
+    if not (np.isfinite(config.flow_time) and config.flow_time >= 0):
+        bad.append(f"flow_time={config.flow_time} must be finite and >= 0")
     if config.fmt not in ("csv", "json"):
         bad.append(f"format={config.fmt!r} must be csv or json")
     if config.psi not in _PSI_NAMES:
@@ -274,6 +274,7 @@ def _exp_texp2(config, workers):
         report.add(f"z_im_{key}", zi, "|mean_im| / stderr_im", res.trials)
         worst_z = max(worst_z, zr, zi)
     report.add("max_zscore", worst_z, "largest componentwise z-score; pass iff <= 5")
+    report.add("max_ward_sentinel_dev", results[0].max_ward_sentinel_dev, _SENTINEL_DEF, config.trials)
     return report
 
 
@@ -281,8 +282,6 @@ def _exp_propcheck(config, workers):
     prof = _profile_for(config)
     lat = prof.lattice
     n = lat.N
-    if n > 512:
-        raise CapacityError(f"propcheck dense oracle gated to N <= 512, got N={n}")
     rng = substream_rng(_aux_master(config.seed, 2), 0)
     report = StatReport("propcheck", params=_params(config))
     gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0, "s_minus": 0.0}
@@ -441,17 +440,18 @@ def _que_chunk(args):
     prof = _profile_for(config)
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
     z = config.z()
-    worst_rel = 0.0
+    worst_rel = sentinel = 0.0
     holds = 0
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
         spec = eigensolve(sample)
         ctx = context_from_spectrum(sample, spec, z, prof)
+        sentinel = max(sentinel, ward_sentinel(ctx))
         tr_res = que_trace(ctx, pi, "resolvent")
         tr_spec = que_trace(ctx, pi, "spectral", spec=spec)
         worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
         holds += overlap_bound_check(spec, z, pi, l=2 * z.imag)[2]
-    return worst_rel, holds
+    return worst_rel, holds, sentinel
 
 
 def _exp_que(config, workers):
@@ -460,9 +460,10 @@ def _exp_que(config, workers):
     )
     prof = _profile_for(config)
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
-    bound_rep = que_bound_ratio(
-        prof, config.z(), pi, max(20, config.trials), _aux_master(config.seed, 6)
-    )
+    bound_trials = max(20, config.trials)
+    bound_rep = que_bound_ratio(prof, config.z(), pi, bound_trials, _aux_master(config.seed, 6))
+    # the bound's own draws are guarded too; their deviation joins the chunks'
+    bound_sentinel = bound_rep.metrics.pop("max_ward_sentinel_dev").value
     report = StatReport("que", params=_params(config))
     report.add(
         "trace_rel_gap_max",
@@ -478,6 +479,12 @@ def _exp_que(config, workers):
     )
     for k, met in bound_rep.metrics.items():
         report.metrics[f"bound_{k}"] = met
+    report.add(
+        "max_ward_sentinel_dev",
+        max(bound_sentinel, *(p[2] for p in parts)),
+        _SENTINEL_DEF,
+        config.trials + bound_trials,
+    )
     return report
 
 

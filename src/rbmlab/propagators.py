@@ -24,7 +24,6 @@ __all__ = [
     "theta_circ",
     "theta_full",
     "s_pm",
-    "theta_circ_pairs",
     "b_profile",
     "b_kernel",
     "d_eta_exponent",
@@ -68,12 +67,6 @@ def s_pm(prof: VarianceProfile, z: complex):
     mult = m2 * lam / (1.0 - m2 * lam)
     plus = np.fft.ifftn(mult)
     return plus, plus.conj()
-
-
-def theta_circ_pairs(prof: VarianceProfile, z: complex, i, j) -> np.ndarray:
-    """theta_circ entries for site index pairs, vectorized."""
-    kern = theta_circ(prof, z).ravel()
-    return kern[prof.lattice.diff_flat(i, j)]
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ ward_sentinel, the column Ward identity, in O(N^2).
 
 second_order_residual takes all its site triples at once: each chunk of
 trials (seeding._chunk_ranges, through the shared seeding._map_chunks) is
-drawn once, stacked and inverted once by _block_inv, and every triple is
-evaluated on that stack by _second_order_batch.
+drawn as one stack by sampler.sample_band_batch, inverted once by
+_block_inv and checked by the Ward sentinel, and every triple is evaluated
+on that stack by _second_order_batch.
 """
 
 import functools
@@ -47,7 +48,7 @@ from .errors import (
     ParameterError,
 )
 from .profile import VarianceProfile
-from .sampler import HermitianSample, sample_band
+from .sampler import HermitianSample, sample_band_batch
 from .seeding import _chunk_ranges, _map_chunks, substream_rng
 
 __all__ = [
@@ -137,10 +138,11 @@ def resolvent(
 
 
 def _shifted(h, z):
-    """A copy of h with z subtracted on its diagonal: H - z."""
+    """A copy of h, one matrix or a stack (..., N, N), with z subtracted on
+    each diagonal: H - z."""
     a = h.astype(complex)
-    idx = np.arange(a.shape[0])
-    a[idx, idx] -= z
+    idx = np.arange(a.shape[-1])
+    a[..., idx, idx] -= z
     return a
 
 
@@ -204,22 +206,27 @@ def ward_residual(ctx: ResolventContext) -> float:
 def ward_sentinel(ctx: ResolventContext) -> float:
     """Largest relative deviation over columns y of the Ward identity
     sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
-    _WARD_SENTINEL_TOL.
+    _WARD_SENTINEL_TOL."""
+    return _ward_check(ctx.G, ctx.eta, f"sample {ctx.sample.provenance}, z={ctx.z}")
 
-    O(N^2) and free of N x N temporaries (sums over the real and imaginary
-    views), so it can guard every resolvent a run computes.
+
+def _ward_check(G, eta, what):
+    """ward_sentinel over a resolvent or a stack (..., N, N) of them, all at
+    Im z = eta; `what` names them in the error.
+
+    O(N^2) per matrix and free of N x N temporaries (sums over the real and
+    imaginary views), so it can guard every resolvent a run computes.
     """
-    G = ctx.G
-    col = np.einsum("xy,xy->y", G.real, G.real)
-    col += np.einsum("xy,xy->y", G.imag, G.imag)
-    rhs = np.diagonal(G).imag / ctx.eta
+    col = np.einsum("...xy,...xy->...y", G.real, G.real)
+    col += np.einsum("...xy,...xy->...y", G.imag, G.imag)
+    rhs = np.diagonal(G, axis1=-2, axis2=-1).imag / eta
     with np.errstate(divide="ignore", invalid="ignore"):
         # col > 0 for any inverse; a negative Im G_yy then reads as dev > 1
         dev = float(np.max(np.abs(col - rhs) / col))
     if not dev <= _WARD_SENTINEL_TOL:  # also catches NaN
         raise NumericError(
             f"Ward sentinel: relative deviation {dev:.3e} exceeds "
-            f"{_WARD_SENTINEL_TOL:.0e} for sample {ctx.sample.provenance}, z={ctx.z}"
+            f"{_WARD_SENTINEL_TOL:.0e} for {what}"
         )
     return dev
 
@@ -303,6 +310,7 @@ class SecondOrderResult:
     stderr_re: float
     stderr_im: float
     trials: int
+    max_ward_sentinel_dev: float  # over every trial's resolvent
 
     @property
     def stderr(self) -> float:
@@ -349,12 +357,13 @@ def second_order_residual(
         [(prof, z, sites, theta_rows, S, seed, t0, t1) for t0, t1 in _chunk_ranges(trials)],
         workers,
     )
+    sentinel = max(dev for dev, _ in partials)
     results = []
     for i in range(len(sites)):
-        n, mean, m2 = functools.reduce(_merge_moments, (p[i] for p in partials))
+        n, mean, m2 = functools.reduce(_merge_moments, (p[i] for _, p in partials))
         var_re, var_im = m2 / n
         results.append(SecondOrderResult(
-            complex(mean), float(np.sqrt(var_re / n)), float(np.sqrt(var_im / n)), n
+            complex(mean), float(np.sqrt(var_re / n)), float(np.sqrt(var_im / n)), n, sentinel
         ))
     return results
 
@@ -379,19 +388,17 @@ def _merge_moments(a, b):
 
 
 def _residual_chunk(args):
-    """Residual moments of trials [t0, t1) for every site triple, from one
-    stack of draws inverted once."""
+    """The Ward sentinel's deviation and the residual moments of every site
+    triple over trials [t0, t1), from one stack of draws inverted once."""
     prof, z, sites, theta_rows, S, seed, t0, t1 = args
     m = semicircle_m(z)
-    stack = np.stack([sample_band(prof, seed, t).matrix for t in range(t0, t1)])
-    idx = np.arange(stack.shape[-1])
-    stack[:, idx, idx] -= z
-    G = _block_inv(stack)
+    G = _block_inv(_shifted(sample_band_batch(prof, seed, t0, t1), z))
+    dev = _ward_check(G, z.imag, f"seed {seed}, trials [{t0}, {t1}), z={z}")
     out = []
     for (a, b1, b2), theta_row in zip(sites, theta_rows):
         T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
         out.append(_moments(T - lead - zm - corr))
-    return out
+    return dev, out
 
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:

@@ -25,7 +25,7 @@ from .profile import VarianceProfile
 from .propagators import PropagatorSet, b_kernel, d_eta_exponent
 from .sampler import sample_band
 from .seeding import substream_rng
-from .spectral import ResolventContext, SpectralData, eigensolve, resolvent
+from .spectral import ResolventContext, SpectralData, eigensolve, resolvent, ward_sentinel
 from .tables import table_text
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 
 _TRACE_TOL = 1e-10
 PGON_TERM_CAP = 10**8
+_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,9 @@ def que_bound_ratio(
     prof: VarianceProfile, z: complex, pi: TestDiagonal, trials: int, seed: int
 ) -> StatReport:
     """Monte Carlo mean of |trace((Im G) Pi (Im G) Pi)| against the scale
-    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|); flags ratios above 100."""
+    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|); flags ratios above 100.
+    Every G passes spectral.ward_sentinel, whose largest deviation is
+    reported as max_ward_sentinel_dev."""
     if not pi.trace_zero or not np.any(pi.values):
         raise ContractError("que_bound_ratio requires a nonzero trace-zero diagonal")
     if trials < 20:
@@ -260,8 +263,10 @@ def que_bound_ratio(
     z = complex(z)
     lat = prof.lattice
     vals = np.empty(trials)
+    sentinel = 0.0
     for t in range(trials):
         ctx = resolvent(sample_band(prof, seed, t), z, prof, check=False)
+        sentinel = max(sentinel, ward_sentinel(ctx))
         vals[t] = abs(que_trace(ctx, pi, "resolvent"))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(trials))
@@ -280,6 +285,7 @@ def que_bound_ratio(
     )
     report.add("ratio", mean / bound, "trace_mean_abs / bound_scale", trials)
     report.add("ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
+    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF, trials)
     return report
 
 

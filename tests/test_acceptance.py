@@ -20,9 +20,15 @@ from rbmlab.propagators import (
     dense_s_plus,
     dense_theta,
     dense_theta_circ,
-    theta_circ_pairs,
 )
-from rbmlab.sampler import ou_evolve, sample_band, sample_gue
+from rbmlab.sampler import (
+    HermitianSample,
+    Provenance,
+    ou_evolve,
+    sample_band,
+    sample_band_batch,
+    sample_gue,
+)
 from rbmlab.spectral import (
     eigensolve,
     eigenvalues,
@@ -206,7 +212,7 @@ def test_criterion_06_graph_calculus():
     prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 8))
     z = 0.2 + 0.5j
     props = PropagatorSet.build(prof, z)
-    theta_rows = {a: theta_circ_pairs(prof, z, a, np.arange(8)) for a in (0, 2)}
+    theta_rows = {a: props.theta_circ_at(a, np.arange(8)) for a in (0, 2)}
     worst = 0.0
     for t in range(20):
         ctx = resolvent(sample_band(prof, SEED + 5, t), z, prof, check=False)
@@ -256,16 +262,19 @@ def test_criterion_08_ou_flow_law():
     n = lat.N
     S = prof.dense_matrix()
     times = (0.1, 0.5, 2.0)
-    trials = 100_000
+    trials, chunk = 100_000, 1000
     acc = {t: np.zeros((n, n)) for t in times}
     acc2 = {t: np.zeros((n, n)) for t in times}
-    for trial in range(trials):
-        h0 = sample_band(prof, SEED + 7, trial)
+    for c0 in range(0, trials, chunk):
+        h0s = [
+            HermitianSample(lat, h, Provenance(SEED + 7, trial, 0.0, prof.profile_id))
+            for trial, h in enumerate(sample_band_batch(prof, SEED + 7, c0, c0 + chunk), c0)
+        ]
         for t in times:
-            ht = ou_evolve(h0, t, prof, SEED + 8, trial)
-            sq = np.abs(ht.matrix) ** 2
-            acc[t] += sq
-            acc2[t] += sq**2
+            hts = [ou_evolve(h0, t, prof, SEED + 8, h0.provenance.trial).matrix for h0 in h0s]
+            sq = np.abs(hts) ** 2
+            acc[t] += sq.sum(axis=0)
+            acc2[t] += (sq**2).sum(axis=0)
     worst = 0.0
     for t in times:
         mean = acc[t] / trials

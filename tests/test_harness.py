@@ -62,6 +62,11 @@ def test_config_validation_errors():
         run(ExperimentConfig("wardcheck", W=0.2))
     with pytest.raises(ValidationError, match="log2"):
         run(ExperimentConfig("wardcheck", d=4, L=512))
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("W", nan), ("W", inf), ("E", nan), ("eta", (nan,)),
+                         ("eta", (0.5, inf)), ("flow_time", nan), ("flow_time", inf)):
+        with pytest.raises(ValidationError, match=f"{field}="):
+            run(ExperimentConfig("universality", **{field: value}))
     with pytest.raises(CapacityError, match="8192"):
         run(ExperimentConfig("wardcheck", d=1, L=16384))
 
@@ -185,6 +190,16 @@ def test_cli_success_and_exit_codes(tmp_path):
 
     assert _run_cli("wardcheck", "--eta", "-1").returncode == 2
     assert _run_cli("wardcheck", "--size", "16384").returncode == 3
+    for args in (
+        ["universality", "--size", "64", "--band", "4", "--flow-time", "nan", "--trials", "2"],
+        ["texp2", "--flow-time", "inf", "--trials", "100"],
+        ["profile", "--band", "nan"],
+        ["profile", "--band", "inf"],
+        ["wardcheck", "--eta", "0.1,inf", "--trials", "2"],
+    ):
+        bad = tmp_path / args[0]
+        assert cli.main([*args, "--out", str(bad)]) == 2, args
+        assert not (bad / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("value,stderr", [(float("nan"), None), (1.0, float("inf"))])
@@ -202,7 +217,7 @@ def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("experiment", ["wardcheck", "locallaw", "graph", "pgon"])
+@pytest.mark.parametrize("experiment", ["wardcheck", "locallaw", "graph", "pgon", "texp2", "que"])
 def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, capsys, experiment):
     from rbmlab import spectral
 
@@ -215,16 +230,28 @@ def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(spectral, "_block_inv", corrupted_inv)
     out = tmp_path / experiment
-    args = [experiment, "--dim", "1", "--size", "16", "--band", "2", "--trials", "2"]
+    trials = "100" if experiment == "texp2" else "2"  # texp2 needs 100 trials
+    args = [experiment, "--dim", "1", "--size", "16", "--band", "2", "--trials", trials]
     assert cli.main([*args, "--out", str(out)]) == 4
     assert "Ward sentinel" in capsys.readouterr().err
     assert not (out / "metrics.json").exists()
 
 
 def test_resolvent_experiments_record_the_ward_sentinel():
-    for experiment in ("wardcheck", "locallaw", "graph", "pgon"):
-        rep = run(ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=(0.1, 0.5), trials=2)).report
-        assert 0.0 <= rep["max_ward_sentinel_dev"] <= 1e-10, experiment
+    for experiment in ("wardcheck", "locallaw", "graph", "pgon", "texp2", "que"):
+        trials = 100 if experiment == "texp2" else 2
+        cfg = ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=(0.1, 0.5), trials=trials)
+        assert 0.0 <= run(cfg).report["max_ward_sentinel_dev"] <= 1e-10, experiment
+
+
+def test_propcheck_experiment_and_its_dense_cap(tmp_path):
+    rep = run(ExperimentConfig("propcheck", d=2, L=6, W=2.0, seed=3)).report
+    gaps = [k for k in rep.metrics if k.startswith("max_gap_")]
+    assert len(gaps) == 4
+    assert all(rep[k] <= 1e-8 for k in gaps), {k: rep[k] for k in gaps}
+    out = tmp_path / "big"
+    assert cli.main(["propcheck", "--size", "513", "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -11,6 +11,7 @@ from rbmlab.sampler import (
     load_sample,
     ou_evolve,
     sample_band,
+    sample_band_batch,
     sample_gue,
 )
 from rbmlab.seeding import substream_rng
@@ -62,6 +63,10 @@ def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
         want = _reference_band(mean_field_profile(TorusLattice(1, n)), seed, trial)
         assert np.array_equal(gue.matrix, want)
         assert gue.provenance.profile_id == f"mean-field:d=1:L={n}:W={n}"
+        stack = sample_band_batch(prof, seed, 3, 9)
+        assert stack.shape == (6, n, n)
+        for t, h in zip(range(3, 9), stack):
+            assert np.array_equal(h, _reference_band(prof, seed, t))
 
 
 def test_hermitian_exact(small_profile):
@@ -182,3 +187,8 @@ def test_dump_load_roundtrip(tmp_path, small_profile):
     assert header == {"d": 1, "L": 8, "W": 2.0, "flow_time": 0.0}
     assert path.stat().st_size == 32 + 8 * 8 * 8  # header + complex64 payload
     assert np.max(np.abs(mat - s.matrix)) < 1e-6  # complex64 round-off
+    raw = path.read_bytes()
+    for bad in (raw[:10], raw[:-8], raw + b"\x00"):  # short header, payload, extra byte
+        path.write_bytes(bad)
+        with pytest.raises(ParameterError):
+            load_sample(path)

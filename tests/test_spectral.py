@@ -25,7 +25,7 @@ from rbmlab.spectral import (
     ward_residual,
     zero_mode_split,
 )
-from rbmlab.propagators import theta_circ_pairs
+from rbmlab.propagators import PropagatorSet
 from rbmlab.stats import gap_ratio_mean
 
 
@@ -191,7 +191,7 @@ def test_zero_mode_split(small_profile):
 def test_second_order_terms_consistency(small_profile):
     z = 0.2 + 0.5j
     ctx = resolvent(sample_band(small_profile, 13, 5), z, small_profile)
-    theta_row = theta_circ_pairs(small_profile, z, 0, np.arange(8))
+    theta_row = PropagatorSet.build(small_profile, z).theta_circ_at(0, np.arange(8))
     T, lead, zm, corr = second_order_terms(ctx, theta_row, 0, 1, 3)
     assert abs(T - t_three(ctx, 0, 1, 3)) < 1e-14
     tc, zm2 = zero_mode_split(ctx, 0, 1, 3)
@@ -222,10 +222,11 @@ def test_second_order_residual_matches_per_trial_oracle(small_profile):
     z, trials, seed = 0.2 + 0.5j, 300, 21
     results = second_order_residual(small_profile, z, _TRIPLES, trials, seed)
     resid = np.empty((len(_TRIPLES), trials), dtype=complex)
+    props = PropagatorSet.build(small_profile, z)
     for t in range(trials):
         ctx = resolvent(sample_band(small_profile, seed, t), z, small_profile, check=False)
         for i, (a, b1, b2) in enumerate(_TRIPLES):
-            theta_row = theta_circ_pairs(small_profile, z, a, np.arange(8))
+            theta_row = props.theta_circ_at(a, np.arange(8))
             T, lead, zm, corr = second_order_terms(ctx, theta_row, a, b1, b2)
             resid[i, t] = T - lead - zm - corr
     assert len(results) == len(_TRIPLES)
@@ -244,18 +245,18 @@ def test_second_order_residual_same_for_any_worker_count(small_profile):
 
 def test_second_order_residual_draws_and_inverts_each_trial_once(small_profile, monkeypatch):
     draws, inverted = [], []
-    sample = spectral.sample_band
+    sample = spectral.sample_band_batch
     block_inv = spectral._block_inv
 
-    def counting_sample(prof, seed, t):
-        draws.append(t)
-        return sample(prof, seed, t)
+    def counting_sample(prof, seed, t0, t1):
+        draws.extend(range(t0, t1))
+        return sample(prof, seed, t0, t1)
 
     def counting_inv(a):
         inverted.append(a.shape[0])
         return block_inv(a)
 
-    monkeypatch.setattr(spectral, "sample_band", counting_sample)
+    monkeypatch.setattr(spectral, "sample_band_batch", counting_sample)
     monkeypatch.setattr(spectral, "_block_inv", counting_inv)
     second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 200, seed=8)
     assert sorted(draws) == list(range(200))
