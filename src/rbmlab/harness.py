@@ -2,6 +2,9 @@
 seeding, worker-pool dispatch with fixed-order reduction, and atomic
 persistence of manifests and metrics.
 
+Flags, --config files, rerun manifests and configs built in code all pass
+through cast_config; every output file goes through tables.write_text.
+
 Reruns from a manifest reproduce every metric bit-for-bit for any worker
 count: each trial draws from its own substream, work is split into
 fixed-size chunks independent of the pool size, and reductions run in
@@ -11,7 +14,6 @@ chunk order.
 import dataclasses
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -36,7 +38,6 @@ from .propagators import (
 from .sampler import ou_evolve, sample_band
 from .seeding import _chunk_ranges, _map_chunks, seed_substream, substream_rng
 from .spectral import (
-    context_from_spectrum,
     eigensolve,
     eigenvalues,
     gue_eigenvalues,
@@ -61,30 +62,19 @@ from .stats import (
     que_trace,
     semicircle_distance,
 )
-from .tables import site_table, table_text
+from .tables import site_table, table_text, write_text
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ResultRecord",
+    "cast_config",
     "run",
     "rerun",
     "load_manifest",
     "parse_config_file",
     "seed_substream",
 ]
-
-EXPERIMENTS = (
-    "profile",
-    "wardcheck",
-    "texp2",
-    "propcheck",
-    "locallaw",
-    "universality",
-    "que",
-    "graph",
-    "pgon",
-)
 
 _DENSE_N_CAP = 8192
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
@@ -125,6 +115,53 @@ class ResultRecord:
     def substream_keys(self) -> tuple:
         """The substream key of every trial, computed when read."""
         return tuple(seed_substream(self.config.seed, t) for t in range(self.config.trials))
+
+
+def _as_int(v) -> int:
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(v)  # int() would silently truncate it
+    return int(v)
+
+
+def _as_text(v):
+    if v is not None and not isinstance(v, str):
+        raise ValueError(v)  # None passes _validate only for `out`
+    return v
+
+
+def _as_eta(v) -> tuple:
+    if isinstance(v, str):
+        v = [tok for tok in v.split(",") if tok.strip()]
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError(v)
+    return tuple(map(float, v))
+
+
+# config field -> cast, by the ExperimentConfig field type
+_CASTS = {
+    f.name: {int: _as_int, float: float, tuple: _as_eta}.get(f.type, _as_text)
+    for f in dataclasses.fields(ExperimentConfig)
+}
+
+
+def cast_config(*sources: dict) -> ExperimentConfig:
+    """The one way outside values become an ExperimentConfig.  Each source
+    maps field names to text (flags, config files) or JSON values
+    (manifests); a later source wins, and together they must name the
+    experiment.  An unknown key or a value that does not cast, overridden
+    or not, raises ValidationError.  Ranges are checked when the config runs."""
+    cast = {}
+    for values in sources:
+        for key, val in values.items():
+            if key not in _CASTS:
+                raise ValidationError(f"unknown config key {key!r}")
+            try:
+                cast[key] = _CASTS[key](val)
+            except (TypeError, ValueError):
+                raise ValidationError(f"bad value {val!r} for config key {key!r}") from None
+    if "experiment" not in cast:
+        raise ValidationError("config names no experiment")
+    return ExperimentConfig(**cast)
 
 
 def _validate(config: ExperimentConfig):
@@ -436,16 +473,17 @@ def _exp_universality(config, workers):
 
 
 def _que_chunk(args):
-    config, t0, t1 = args
+    # G comes from the dense inverse, not from spec, so the two traces
+    # check one factorization against the other
+    config, pi, t0, t1 = args
     prof = _profile_for(config)
-    pi = box_indicator(prof.lattice, max(1, config.L // 2))
     z = config.z()
     worst_rel = sentinel = 0.0
     holds = 0
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
         spec = eigensolve(sample)
-        ctx = context_from_spectrum(sample, spec, z, prof)
+        ctx = resolvent(sample, z, prof, check=False)
         sentinel = max(sentinel, ward_sentinel(ctx))
         tr_res = que_trace(ctx, pi, "resolvent")
         tr_spec = que_trace(ctx, pi, "spectral", spec=spec)
@@ -455,11 +493,11 @@ def _que_chunk(args):
 
 
 def _exp_que(config, workers):
-    parts = _map_chunks(
-        _que_chunk, [(config, a, b) for a, b in _chunk_ranges(config.trials)], workers
-    )
     prof = _profile_for(config)
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
+    parts = _map_chunks(
+        _que_chunk, [(config, pi, a, b) for a, b in _chunk_ranges(config.trials)], workers
+    )
     bound_trials = max(20, config.trials)
     bound_rep = que_bound_ratio(prof, config.z(), pi, bound_trials, _aux_master(config.seed, 6))
     # the bound's own draws are guarded too; their deviation joins the chunks'
@@ -468,7 +506,7 @@ def _exp_que(config, workers):
     report.add(
         "trace_rel_gap_max",
         max(p[0] for p in parts),
-        "max relative gap between resolvent and spectral trace computations",
+        "max relative gap between the dense-inverse and spectral trace computations",
         config.trials,
     )
     report.add(
@@ -586,16 +624,11 @@ _DISPATCH = {
     "pgon": _exp_pgon,
 }
 
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    """Every config field, JSON-ready (eta as a list)."""
-    d = dataclasses.asdict(config)
-    d["eta"] = list(config.eta)
-    return d
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def _params(config: ExperimentConfig) -> dict:
-    d = _config_dict(config)
+    d = dataclasses.asdict(config)
     d.pop("out")  # volatile; lives in the manifest, not in the metrics
     return d
 
@@ -603,30 +636,17 @@ def _params(config: ExperimentConfig) -> dict:
 # --- persistence ----------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_outputs(config: ExperimentConfig, report: StatReport):
     out = config.out
     os.makedirs(out, exist_ok=True)
-    manifest = {"config": _config_dict(config), "version": __version__, "seed": config.seed}
-    _atomic_write(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True))
+    manifest = {"config": dataclasses.asdict(config), "version": __version__, "seed": config.seed}
+    write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True))
     if config.fmt == "json":
-        _atomic_write(os.path.join(out, "metrics.json"), report.to_json())
+        write_text(os.path.join(out, "metrics.json"), report.to_json())
     else:
-        _atomic_write(os.path.join(out, "metrics.csv"), report.csv_text())
+        write_text(os.path.join(out, "metrics.csv"), report.csv_text())
     for name, (header, rows) in report.tables.items():
-        _atomic_write(os.path.join(out, f"{name}.csv"), table_text(header, rows))
+        write_text(os.path.join(out, f"{name}.csv"), table_text(header, rows))
 
 
 def _require_finite(report: StatReport):
@@ -639,6 +659,10 @@ def _require_finite(report: StatReport):
 
 def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     """Validate, dispatch, persist.  Deterministic for any worker count."""
+    if workers < 1:
+        raise ValidationError(f"workers={workers} must be >= 1")
+    # a config built in code is cast too, so its manifest reruns byte for byte
+    config = cast_config(dataclasses.asdict(config))
     _validate(config)
     t0 = time.perf_counter()
     report = _DISPATCH[config.experiment](config, workers)
@@ -650,12 +674,22 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     return record
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+
+
 def load_manifest(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        manifest = json.load(fh)
-    raw = dict(manifest["config"])
-    raw["eta"] = tuple(raw["eta"])
-    return ExperimentConfig(**raw)
+    try:
+        raw = json.loads(_read_text(path, "manifest"))["config"]
+    except (ValueError, TypeError, KeyError):
+        raw = None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"manifest {str(path)!r} is not JSON with a config object")
+    return cast_config(raw)
 
 
 def rerun(manifest_path: str, out: str | None = None, workers: int = 1) -> ResultRecord:
@@ -668,13 +702,12 @@ def rerun(manifest_path: str, out: str | None = None, workers: int = 1) -> Resul
 def parse_config_file(path: str) -> dict:
     """Flat key=value text; '#' starts a comment.  CLI flags override."""
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line {raw!r}; expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
+    for raw in _read_text(path, "config file").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line {raw!r}; expected key=value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        out[key] = val
     return out

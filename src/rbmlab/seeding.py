@@ -52,11 +52,11 @@ def _chunk_ranges(trials: int):
 
 
 def _map_chunks(fn, chunk_args, workers: int):
-    """[fn(a) for a in chunk_args], in order, on a process pool of `workers`
-    when there is more than one worker and more than one chunk."""
+    """[fn(a) for a in chunk_args], in order, on a pool of min(workers,
+    chunks) processes when both exceed one (more would only sit idle)."""
     if workers > 1 and len(chunk_args) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as pool:
             return list(pool.map(fn, chunk_args))
     return [fn(a) for a in chunk_args]

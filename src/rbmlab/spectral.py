@@ -67,7 +67,6 @@ __all__ = [
     "gue_eigenvalues",
     "eigensolve",
     "resolvent_from_spectrum",
-    "context_from_spectrum",
 ]
 
 _RESIDUAL_TOL = 1e-10
@@ -466,15 +465,3 @@ def resolvent_from_spectrum(spec: SpectralData, z: complex) -> np.ndarray:
     U = spec.eigenvectors
     p = 1.0 / (spec.eigenvalues - z)
     return (U * p) @ U.conj().T
-
-
-def context_from_spectrum(
-    sample: HermitianSample,
-    spec: SpectralData,
-    z: complex,
-    profile: Optional[VarianceProfile] = None,
-) -> ResolventContext:
-    """ResolventContext via the spectral route (cheap across an eta sweep)."""
-    return ResolventContext(
-        complex(z), semicircle_m(z), resolvent_from_spectrum(spec, z), sample, profile
-    )

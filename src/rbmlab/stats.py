@@ -136,10 +136,6 @@ class StatReport:
         ]
         return table_text(["metric", "value", "stderr", "n", "definition"], rows)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
 
 def semicircle_cdf(x) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)

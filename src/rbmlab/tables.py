@@ -1,11 +1,29 @@
-"""CSV tables.  table_text is the one (header, rows) -> text writer: fields
-joined by commas, LF line ends, floats by repr (shortest round-trip form),
-everything else by str, and no quoting, so no field may contain a comma.
+"""Text files and CSV tables.  write_text is the one text-file writer: a
+temporary file renamed over the target, so no reader sees a partial file.
+table_text is the one (header, rows) -> text writer: fields joined by
+commas, LF line ends, floats by repr (shortest round-trip form), everything
+else by str, and no quoting, so no field may contain a comma.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
-__all__ = ["table_text", "write_table", "site_table"]
+__all__ = ["write_text", "table_text", "write_table", "site_table"]
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path atomically: a temporary file, then a rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _cell(v) -> str:
@@ -18,8 +36,7 @@ def table_text(header, rows) -> str:
 
 
 def write_table(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_text(header, rows))
+    write_text(path, table_text(header, rows))
 
 
 def site_table(lat, arr_fft, axis_name: str, value_name: str):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from rbmlab.profile import build_profile, get_shape
 from rbmlab.propagators import PropagatorSet
 from rbmlab.sampler import ou_evolve, sample_band
 from rbmlab.seeding import seed_substream, substream_rng
-from rbmlab.spectral import eigensolve, gue_eigenvalues, resolvent
+from rbmlab.spectral import SpectralData, eigensolve, gue_eigenvalues, resolvent
 from rbmlab.stats import StatReport, gap_ratio_mean, local_law_ratios
 
 
@@ -49,6 +50,36 @@ def test_substream_rng_reproducible():
     a = substream_rng(9, 3).standard_normal(4)
     b = substream_rng(9, 3).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("workers,chunks,pool", [(64, 4, 4), (3, 5, 3), (2, 2, 2), (8, 1, None)])
+def test_map_chunks_pool_never_bigger_than_the_work(monkeypatch, workers, chunks, pool):
+    import concurrent.futures
+
+    from rbmlab.seeding import _map_chunks
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    assert _map_chunks(abs, list(range(-chunks, 0)), workers) == list(range(chunks, 0, -1))
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
 
 
 def test_config_validation_errors():
@@ -104,6 +135,21 @@ def test_substream_keys_recorded(tmp_path):
 def test_texp2_experiment_statistical_zero():
     rec = run(ExperimentConfig("texp2", d=1, L=8, W=2.0, E=0.2, eta=(0.5,), trials=2000, seed=3))
     assert rec.report["max_zscore"] <= 5.0
+
+
+def test_que_trace_check_flags_a_wrong_eigendecomposition(monkeypatch):
+    cfg = ExperimentConfig("que", d=1, L=64, W=2.0, E=0.2, eta=(0.5,), trials=3, seed=6)
+    assert run(cfg).report["trace_rel_gap_max"] <= 1e-10
+    clean = harness.eigensolve
+
+    def swapped(sample):
+        # eigenvectors paired with the wrong eigenvalues: still orthonormal,
+        # so only a second route to G can tell
+        spec = clean(sample)
+        return SpectralData(spec.eigenvalues, spec.eigenvectors[:, ::-1])
+
+    monkeypatch.setattr(harness, "eigensolve", swapped)
+    assert run(cfg).report["trace_rel_gap_max"] > 1e-3
 
 
 def test_que_experiment_3d_smoke():
@@ -189,6 +235,8 @@ def test_cli_success_and_exit_codes(tmp_path):
     assert (out / "manifest.json").exists()
 
     assert _run_cli("wardcheck", "--eta", "-1").returncode == 2
+    for workers in ("0", "-3"):
+        assert cli.main(["wardcheck", "--trials", "2", "--workers", workers]) == 2
     assert _run_cli("wardcheck", "--size", "16384").returncode == 3
     for args in (
         ["universality", "--size", "64", "--band", "4", "--flow-time", "nan", "--trials", "2"],
@@ -256,11 +304,13 @@ def test_propcheck_experiment_and_its_dense_cap(tmp_path):
 
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("experiment=wardcheck\nd=1\nL=32\nW=4\ntrials=2\nseed=9\neta=0.4\n")
+    # texp2 would fail on 2 trials: the experiment argument wins as well
+    cfg.write_text("experiment=texp2\nd=1\nL=32\nW=4\ntrials=2\nseed=9\neta=0.4\n")
     out = tmp_path / "o"
     res = _run_cli("wardcheck", "--config", str(cfg), "--size", "16", "--out", str(out))
     assert res.returncode == 0, res.stderr
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["experiment"] == "wardcheck"
     assert manifest["config"]["L"] == 16  # flag wins
     assert manifest["config"]["W"] == 4.0  # file value kept
 
@@ -272,6 +322,58 @@ def test_cli_config_file_bad_value_exits_2(tmp_path, line):
     res = _run_cli("wardcheck", "--config", str(cfg), "--trials", "2")
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_cli_missing_config_file_exits_2(tmp_path):
+    res = _run_cli("profile", "--config", str(tmp_path / "missing.cfg"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def _good_manifest():
+    cfg = ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=2, seed=1, out="x")
+    return {"config": dataclasses.asdict(cfg), "version": "0", "seed": 1}
+
+
+@pytest.mark.parametrize("defect", [
+    "unknown key", "trials 2.5", "eta x", "malformed JSON", "missing file", "no config",
+])
+def test_cli_rerun_bad_manifest_exits_2(tmp_path, defect):
+    manifest = _good_manifest()
+    text = None
+    if defect == "unknown key":
+        manifest["config"]["colour"] = "red"
+    elif defect == "trials 2.5":
+        manifest["config"]["trials"] = 2.5
+    elif defect == "eta x":
+        manifest["config"]["eta"] = "x"
+    elif defect == "malformed JSON":
+        text = json.dumps(manifest)[:-2]
+    elif defect == "no config":
+        del manifest["config"]
+    path = tmp_path / "manifest.json"
+    if defect != "missing file":
+        path.write_text(text if text is not None else json.dumps(manifest))
+    out = tmp_path / "out"
+    res = _run_cli("rerun", "--manifest", str(path), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert not (out / "metrics.json").exists()
+
+
+def test_cast_config_casts_text_and_json_alike():
+    from rbmlab.harness import cast_config
+
+    text = {"experiment": "que", "L": "16", "W": "2", "eta": "0.1,0.5", "out": "o"}
+    js = {"experiment": "que", "L": 16.0, "W": 2, "eta": [0.1, 0.5], "out": "o"}
+    assert cast_config(text) == cast_config(js) == ExperimentConfig(
+        "que", L=16, W=2.0, eta=(0.1, 0.5), out="o"
+    )
+    for bad in ({"L": 2.5}, {"L": "2.5"}, {"psi": 3}, {"eta": []}, {"eta": 0.5}, {"seed": None}):
+        with pytest.raises(ValidationError, match="bad value"):
+            cast_config({"experiment": "que", **bad})
+    with pytest.raises(ValidationError, match="no experiment"):
+        cast_config({"L": "16"})
 
 
 def test_cli_rerun(tmp_path):

@@ -150,6 +150,7 @@ def test_csv_exports(tmp_path):
     total = sum(float(ln.rsplit(",", 1)[1]) for ln in lines[1:])
     assert abs(total - 1.0) < 1e-12
     assert sp.read_text().splitlines()[0] == "k1,k2,lambda"
+    assert not list(tmp_path.glob("*.tmp"))  # written atomically, nothing left over
     # the profile experiment writes the same tables, byte for byte, LF line ends
     out = tmp_path / "run"
     run(ExperimentConfig("profile", d=2, L=4, W=2.0, out=str(out)))

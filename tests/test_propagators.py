@@ -156,3 +156,4 @@ def test_kernel_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "distance,abs_theta_circ,b_profile,ratio"
     assert len(lines) == 2 + 8  # distances 0..8
+    assert not list(tmp_path.glob("*.tmp"))

@@ -30,7 +30,7 @@ from rbmlab.stats import (
     semicircle_cdf,
     semicircle_distance,
 )
-from rbmlab.tables import table_text
+from rbmlab.tables import table_text, write_text
 
 
 def _fixed(mat):
@@ -330,7 +330,7 @@ def test_stat_report_serialization(tmp_path):
     txt = rep.to_json()
     assert '"alpha"' in txt and '"definition"' in txt
     path = tmp_path / "m.csv"
-    rep.write_csv(path)
+    write_text(path, rep.csv_text())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "metric,value,stderr,n,definition"
     assert len(lines) == 3
