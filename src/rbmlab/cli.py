@@ -5,9 +5,11 @@ r"""Command line front end.
         --format csv|json [--config FILE] [--workers K]
     rbm rerun --manifest PATH [--out DIR] [--workers K]
 
-Exit codes: 0 success, 2 validation error, 3 capacity error, 4 numeric
-failure.  --config points at a flat key=value file; the experiment and
-explicit flags win.  All values are cast by harness.cast_config.
+Exit codes: 0 success, 2 bad input (an invalid config, a parameter out of
+range, a kernel that is not positive, a bulk window too small for the gap
+ratio), 3 capacity error, 4 numeric failure.  --config points at a flat
+key=value file; the experiment and explicit flags win.  All values are
+cast by harness.cast_config.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import dataclasses
 import sys
 
 from .errors import CapacityError, NumericError, ParameterError, ValidationError
+from .errors import ProfilePositivityError, WindowError
 from .harness import EXPERIMENTS, ExperimentConfig, cast_config, parse_config_file, rerun, run
 
 
@@ -56,7 +59,7 @@ def main(argv=None) -> int:
             record = rerun(args.manifest, out=args.out, workers=args.workers)
         else:
             record = run(_config_from_args(args), workers=args.workers)
-    except (ValidationError, ParameterError) as exc:
+    except (ValidationError, ParameterError, ProfilePositivityError, WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Process exit codes used by the CLI: validation errors map to 2, capacity
-errors to 3, numeric failures to 4.
+Process exit codes used by the CLI: validation, parameter, profile
+positivity and window errors map to 2, capacity errors to 3, numeric
+failures to 4.
 """
 
 

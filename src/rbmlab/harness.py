@@ -51,7 +51,7 @@ from .spectral import (
     zero_mode_split,
 )
 from .stats import (
-    _SENTINEL_DEF,
+    QUE_BOUND_MIN_DRAWS,
     StatReport,
     box_indicator,
     gap_ratio_mean,
@@ -79,6 +79,7 @@ __all__ = [
 _DENSE_N_CAP = 8192
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _PSI_NAMES = (*_SHAPES, "mean-field")
+_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
 
 @dataclass(frozen=True)
@@ -418,30 +419,29 @@ def _exp_locallaw(config, workers):
 
 
 def _gap_ratio_chunk(args):
-    config, t0, t1, which = args
-    if which == "band":
-        prof = _profile_for(config)
-    vals = []
+    # all band draws before all GUE draws, the order of one pass per ensemble
+    config, t0, t1 = args
+    prof = _profile_for(config)
+    band = []
     for t in range(t0, t1):
-        if which == "band":
-            sample = sample_band(prof, config.seed, t)
-            if config.flow_time > 0:
-                sample = ou_evolve(
-                    sample, config.flow_time, prof, _aux_master(config.seed, 3), t
-                )
-            spectrum = eigenvalues(sample)
-        else:
-            spectrum = gue_eigenvalues(config.N, _aux_master(config.seed, 4), t)
-        vals.append(gap_ratio_mean(spectrum, kappa=0.5))
-    return vals
+        sample = sample_band(prof, config.seed, t)
+        if config.flow_time > 0:
+            sample = ou_evolve(sample, config.flow_time, prof, _aux_master(config.seed, 3), t)
+        band.append(gap_ratio_mean(eigenvalues(sample), kappa=0.5))
+    del sample  # free the last band draw before the GUE draws allocate theirs
+    gue = [
+        gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=0.5)
+        for t in range(t0, t1)
+    ]
+    return band, gue
 
 
 def _exp_universality(config, workers):
-    chunks = _chunk_ranges(config.trials)
-    band, gue = (
-        sum(_map_chunks(_gap_ratio_chunk, [(config, a, b, which) for a, b in chunks], workers), [])
-        for which in ("band", "gue")
+    parts = _map_chunks(
+        _gap_ratio_chunk, [(config, a, b) for a, b in _chunk_ranges(config.trials)], workers
     )
+    band = [v for p in parts for v in p[0]]
+    gue = [v for p in parts for v in p[1]]
     rng = substream_rng(_aux_master(config.seed, 5), 0)
     poisson = [
         gap_ratio_mean(np.sort(rng.uniform(-2, 2, 10_000)), kappa=0.5)
@@ -473,56 +473,52 @@ def _exp_universality(config, workers):
 
 
 def _que_chunk(args):
-    # G comes from the dense inverse, not from spec, so the two traces
+    # every draw's dense-inverse trace feeds the bound; the first trials are
+    # also eigendecomposed, and G is not built from spec, so the two traces
     # check one factorization against the other
     config, pi, t0, t1 = args
     prof = _profile_for(config)
     z = config.z()
+    traces = np.empty(t1 - t0)
     worst_rel = sentinel = 0.0
     holds = 0
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
-        spec = eigensolve(sample)
         ctx = resolvent(sample, z, prof, check=False)
         sentinel = max(sentinel, ward_sentinel(ctx))
-        tr_res = que_trace(ctx, pi, "resolvent")
-        tr_spec = que_trace(ctx, pi, "spectral", spec=spec)
-        worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
-        holds += overlap_bound_check(spec, z, pi, l=2 * z.imag)[2]
-    return worst_rel, holds, sentinel
+        tr_res = traces[t - t0] = que_trace(ctx, pi, "resolvent")
+        if t < config.trials:
+            spec = eigensolve(sample)
+            tr_spec = que_trace(ctx, pi, "spectral", spec=spec)
+            worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
+            holds += overlap_bound_check(spec, z, pi, l=2 * z.imag)[2]
+    return traces, worst_rel, holds, sentinel
 
 
 def _exp_que(config, workers):
     prof = _profile_for(config)
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
+    draws = max(QUE_BOUND_MIN_DRAWS, config.trials)
     parts = _map_chunks(
-        _que_chunk, [(config, pi, a, b) for a, b in _chunk_ranges(config.trials)], workers
+        _que_chunk, [(config, pi, a, b) for a, b in _chunk_ranges(draws)], workers
     )
-    bound_trials = max(20, config.trials)
-    bound_rep = que_bound_ratio(prof, config.z(), pi, bound_trials, _aux_master(config.seed, 6))
-    # the bound's own draws are guarded too; their deviation joins the chunks'
-    bound_sentinel = bound_rep.metrics.pop("max_ward_sentinel_dev").value
+    bound_rep = que_bound_ratio(np.concatenate([p[0] for p in parts]), prof, pi)
     report = StatReport("que", params=_params(config))
     report.add(
         "trace_rel_gap_max",
-        max(p[0] for p in parts),
+        max(p[1] for p in parts),
         "max relative gap between the dense-inverse and spectral trace computations",
         config.trials,
     )
     report.add(
         "overlap_bound_holds_frac",
-        sum(p[1] for p in parts) / config.trials,
+        sum(p[2] for p in parts) / config.trials,
         "fraction of draws where the overlap bound holds (must be 1)",
         config.trials,
     )
     for k, met in bound_rep.metrics.items():
         report.metrics[f"bound_{k}"] = met
-    report.add(
-        "max_ward_sentinel_dev",
-        max(bound_sentinel, *(p[2] for p in parts)),
-        _SENTINEL_DEF,
-        config.trials + bound_trials,
-    )
+    report.add("max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, draws)
     return report
 
 

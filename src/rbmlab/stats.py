@@ -23,9 +23,7 @@ from .errors import (
 from .lattice import TorusLattice
 from .profile import VarianceProfile
 from .propagators import PropagatorSet, b_kernel, d_eta_exponent
-from .sampler import sample_band
-from .seeding import substream_rng
-from .spectral import ResolventContext, SpectralData, eigensolve, resolvent, ward_sentinel
+from .spectral import ResolventContext, SpectralData, eigensolve
 from .tables import table_text
 
 __all__ = [
@@ -49,7 +47,7 @@ __all__ = [
 
 _TRACE_TOL = 1e-10
 PGON_TERM_CAP = 10**8
-_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
+QUE_BOUND_MIN_DRAWS = 20  # fewest traces que_bound_ratio averages
 
 
 @dataclass(frozen=True)
@@ -245,43 +243,28 @@ def que_trace(
     raise ParameterError(f"method must be 'resolvent' or 'spectral', got {method!r}")
 
 
-def que_bound_ratio(
-    prof: VarianceProfile, z: complex, pi: TestDiagonal, trials: int, seed: int
-) -> StatReport:
-    """Monte Carlo mean of |trace((Im G) Pi (Im G) Pi)| against the scale
-    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|); flags ratios above 100.
-    Every G passes spectral.ward_sentinel, whose largest deviation is
-    reported as max_ward_sentinel_dev."""
+def que_bound_ratio(traces, prof: VarianceProfile, pi: TestDiagonal) -> StatReport:
+    """Mean of |trace((Im G) Pi (Im G) Pi)| over per-draw traces (que_trace
+    of one resolvent each) against the scale
+    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|); flags ratios above 100."""
     if not pi.trace_zero or not np.any(pi.values):
         raise ContractError("que_bound_ratio requires a nonzero trace-zero diagonal")
-    if trials < 20:
-        raise InsufficientSamplesError(f"need at least 20 trials, got {trials}")
-    z = complex(z)
-    lat = prof.lattice
-    vals = np.empty(trials)
-    sentinel = 0.0
-    for t in range(trials):
-        ctx = resolvent(sample_band(prof, seed, t), z, prof, check=False)
-        sentinel = max(sentinel, ward_sentinel(ctx))
-        vals[t] = abs(que_trace(ctx, pi, "resolvent"))
+    vals = np.abs(np.asarray(traces, dtype=float))
+    n = vals.size
+    if n < QUE_BOUND_MIN_DRAWS:
+        raise InsufficientSamplesError(f"need at least {QUE_BOUND_MIN_DRAWS} traces, got {n}")
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(trials))
+    se = float(vals.std(ddof=1) / np.sqrt(n))
 
+    lat = prof.lattice
     pi_abs = np.abs(pi.values)
     bound = float(pi_abs.sum() * lat.convolve(b_kernel(lat, prof.W), pi_abs).max())
 
-    report = StatReport(
-        "que_bound_ratio", params={"z": str(z), "trials": trials, "N": lat.N}
-    )
-    report.add(
-        "trace_mean_abs", mean, "E|trace((Im G) Pi (Im G) Pi)| estimate", trials, se
-    )
-    report.add(
-        "bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)"
-    )
-    report.add("ratio", mean / bound, "trace_mean_abs / bound_scale", trials)
+    report = StatReport("que_bound_ratio", params={"trials": n, "N": lat.N})
+    report.add("trace_mean_abs", mean, "E|trace((Im G) Pi (Im G) Pi)| estimate", n, se)
+    report.add("bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)")
+    report.add("ratio", mean / bound, "trace_mean_abs / bound_scale", n)
     report.add("ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
-    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF, trials)
     return report
 
 

@@ -1,5 +1,6 @@
 """Text files and CSV tables.  write_text is the one text-file writer: a
-temporary file renamed over the target, so no reader sees a partial file.
+temporary file renamed over the target, so no reader sees a partial file,
+with the mode open() would give a new file under the process umask.
 table_text is the one (header, rows) -> text writer: fields joined by
 commas, LF line ends, floats by repr (shortest round-trip form), everything
 else by str, and no quoting, so no field may contain a comma.
@@ -19,6 +20,9 @@ def write_text(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        mask = os.umask(0)  # mkstemp's 0600 ignores the umask; reading it sets it
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

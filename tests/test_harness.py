@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ from rbmlab.propagators import PropagatorSet
 from rbmlab.sampler import ou_evolve, sample_band
 from rbmlab.seeding import seed_substream, substream_rng
 from rbmlab.spectral import SpectralData, eigensolve, gue_eigenvalues, resolvent
-from rbmlab.stats import StatReport, gap_ratio_mean, local_law_ratios
+from rbmlab.stats import StatReport, box_indicator, gap_ratio_mean, local_law_ratios, que_trace
 
 
 def test_seed_substream_deterministic():
@@ -159,6 +160,28 @@ def test_que_experiment_3d_smoke():
     assert rec.report["trace_rel_gap_max"] <= 1e-8
 
 
+def test_que_bound_averages_the_trace_draws(monkeypatch):
+    # max(20, trials) draws feed the bound; only the first `trials` are
+    # eigendecomposed
+    cfg = ExperimentConfig("que", d=1, L=16, W=2.0, E=0.2, eta=(0.5,), trials=3, seed=6)
+    clean = harness.eigensolve
+    solved = []
+    monkeypatch.setattr(harness, "eigensolve", lambda s: solved.append(s) or clean(s))
+    rep = run(cfg).report
+    assert len(solved) == 3
+    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 16))
+    pi = box_indicator(prof.lattice, 8)
+    traces = [que_trace(resolvent(sample_band(prof, 6, t), cfg.z(), prof), pi) for t in range(20)]
+    assert rep["bound_trace_mean_abs"] == pytest.approx(np.mean(np.abs(traces)), rel=1e-12)
+    assert rep.metrics["bound_trace_mean_abs"].n == 20
+    assert rep.metrics["max_ward_sentinel_dev"].n == 20
+
+
+def test_que_two_chunks_match_across_worker_counts():
+    cfg = ExperimentConfig("que", d=1, L=16, W=2.0, E=0.2, eta=(0.5,), trials=70, seed=6)
+    assert run(cfg, workers=1).report.to_json() == run(cfg, workers=2).report.to_json()
+
+
 def test_universality_experiment_with_flow():
     rec = run(
         ExperimentConfig("universality", d=1, L=80, W=80.0, trials=2, seed=5, flow_time=0.5)
@@ -248,6 +271,35 @@ def test_cli_success_and_exit_codes(tmp_path):
         bad = tmp_path / args[0]
         assert cli.main([*args, "--out", str(bad)]) == 2, args
         assert not (bad / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["profile", "--dim", "1", "--size", "16", "--band", "1"],  # negative kernel entry
+        ["universality", "--dim", "1", "--size", "16", "--trials", "2"],  # < 50 bulk eigenvalues
+    ],
+)
+def test_inadmissible_input_exits_2_without_traceback(tmp_path, args):
+    out = tmp_path / args[0]
+    res = _run_cli(*args, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_output_files_take_the_umask_mode(tmp_path, mask, mode):
+    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 8))
+    out = tmp_path / "run"
+    old = os.umask(mask)
+    try:
+        run(ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=2, out=str(out)))
+        prof.export_kernel_csv(tmp_path / "kernel.csv")
+    finally:
+        os.umask(old)
+    for path in (out / "manifest.json", out / "metrics.json", tmp_path / "kernel.csv"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 @pytest.mark.parametrize("value,stderr", [(float("nan"), None), (1.0, float("inf"))])

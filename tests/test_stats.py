@@ -266,23 +266,30 @@ def _bound_scale_by_displacement_field(prof, pi):
     return float(pi_abs.sum() * conv.max())
 
 
+def _que_traces(prof, pi, draws=20, seed=3, z=0.2 + 0.5j):
+    return [
+        que_trace(resolvent(sample_band(prof, seed, t), z, prof), pi, "resolvent")
+        for t in range(draws)
+    ]
+
+
 def test_que_bound_ratio(small_profile):
     pi = box_indicator(small_profile.lattice, 4)
-    rep = que_bound_ratio(small_profile, 0.2 + 0.5j, pi, trials=20, seed=3)
+    rep = que_bound_ratio(_que_traces(small_profile, pi), small_profile, pi)
     assert np.isfinite(rep["ratio"]) and rep["ratio_flagged"] == 0.0
     # homogeneity: Pi -> 2 Pi leaves the ratio invariant
     pi2 = TestDiagonal(2 * pi.values, trace_zero=True)
-    rep2 = que_bound_ratio(small_profile, 0.2 + 0.5j, pi2, trials=20, seed=3)
+    rep2 = que_bound_ratio(_que_traces(small_profile, pi2), small_profile, pi2)
     assert rep2["ratio"] == pytest.approx(rep["ratio"], rel=1e-12)
     with pytest.raises(ContractError):
-        que_bound_ratio(small_profile, 0.2 + 0.5j, TestDiagonal(np.zeros(8), trace_zero=True), 20, 3)
+        que_bound_ratio([1.0] * 20, small_profile, TestDiagonal(np.zeros(8), trace_zero=True))
     with pytest.raises(InsufficientSamplesError):
-        que_bound_ratio(small_profile, 0.2 + 0.5j, pi, trials=10, seed=3)
+        que_bound_ratio(_que_traces(small_profile, pi, draws=19), small_profile, pi)
     # the bound scale equals the displacement-field formula in d = 1 and d = 2
     prof_2d = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 6))
     for prof, side in ((small_profile, 3), (prof_2d, 2)):
         pi = box_indicator(prof.lattice, side)
-        rep = que_bound_ratio(prof, 0.2 + 0.5j, pi, trials=20, seed=3)
+        rep = que_bound_ratio(_que_traces(prof, pi), prof, pi)
         assert rep["bound_scale"] == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
 
 
