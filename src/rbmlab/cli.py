@@ -7,13 +7,15 @@ r"""Command line front end.
 
 Exit codes: 0 success, 2 bad input (an invalid config, a parameter out of
 range, a kernel that is not positive, a bulk window too small for the gap
-ratio), 3 capacity error, 4 numeric failure.  --config points at a flat
-key=value file; the experiment and explicit flags win.  All values are
-cast by harness.cast_config.
+ratio), 3 capacity error, 4 numeric failure; a stdout closed early
+(rbm ... | head -1) still exits 0, as the run and its files are complete.
+--config points at a flat key=value file; the experiment and explicit
+flags win.  All values are cast by harness.cast_config.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import CapacityError, NumericError, ParameterError, ValidationError
@@ -70,13 +72,19 @@ def main(argv=None) -> int:
         return 4
 
     report = record.report
-    print(f"{report.name}: {len(report.metrics)} metrics in {record.wall_time:.2f}s")
-    for name in sorted(report.metrics):
-        m = report.metrics[name]
-        extra = f" +- {m.stderr:.3g}" if m.stderr is not None else ""
-        print(f"  {name} = {m.value:.9g}{extra}")
-    if record.config.out:
-        print(f"wrote {record.config.out}/manifest.json and metrics.{record.config.fmt}")
+    try:
+        print(f"{report.name}: {len(report.metrics)} metrics in {record.wall_time:.2f}s")
+        for name in sorted(report.metrics):
+            m = report.metrics[name]
+            extra = f" +- {m.stderr:.3g}" if m.stderr is not None else ""
+            print(f"  {name} = {m.value:.9g}{extra}")
+        if record.config.out:
+            print(f"wrote {record.config.out}/manifest.json and metrics.{record.config.fmt}")
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # keep the interpreter's final flush quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -727,12 +727,9 @@ def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None
                 val = val * np.conj(G[sa, sb])
             elif e.kind == EdgeKind.WAVED:
                 val = val * _need_profile(prof).kernel_flat[lat.diff_flat(sa, sb)]
-            elif e.kind == EdgeKind.WAVED_PLUS:
-                val = val * _need_props(props).s_plus_at(sa, sb)
-            elif e.kind == EdgeKind.WAVED_MINUS:
-                val = val * _need_props(props).s_minus_at(sa, sb)
-            elif e.kind == EdgeKind.DIFFUSIVE:
-                val = val * _need_props(props).theta_circ_at(sa, sb)
+            elif e.kind in _PROPAGATOR_KERNELS:
+                kern = getattr(_need_props(props), _PROPAGATOR_KERNELS[e.kind])
+                val = val * kern.ravel()[lat.diff_flat(sa, sb)]
             elif e.kind == EdgeKind.FREE:
                 val = val * (1.0 / (n * ctx.eta))
             elif e.kind == EdgeKind.GHOST:

@@ -47,7 +47,6 @@ from .spectral import (
     semicircle_m,
     t_three,
     ward_residual,
-    ward_sentinel,
     zero_mode_split,
 )
 from .stats import (
@@ -179,6 +178,10 @@ def _validate(config: ExperimentConfig):
         bad.append(f"d*log2(L) = {config.d * np.log2(config.L):.1f} exceeds 30")
     if not all(np.isfinite(e) and e > 0 for e in config.eta):
         bad.append(f"eta={config.eta} must be finite and positive")
+    labels = [f"{e:g}" for e in config.eta]  # per-eta metric names end in these
+    clash = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if clash:
+        bad.append(f"eta={config.eta} repeats the metric label(s) {clash}; labels must be distinct")
     if not abs(config.E) < 2:
         bad.append(f"E={config.E} must satisfy |E| < 2")
     if config.trials < 1:
@@ -252,7 +255,7 @@ def _ward_chunk(args):
     worst = worst_scaled = worst_zm = worst_sentinel = 0.0
     for t in range(t0, t1):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
-        worst_sentinel = max(worst_sentinel, ward_sentinel(ctx))
+        worst_sentinel = max(worst_sentinel, ctx.ward_dev)
         resid = ward_residual(ctx)
         scale = 1e-9 * max(1.0, n * float(np.max(np.abs(ctx.G))) ** 2)
         a, b1, b2 = (int(rng.integers(0, n)) for _ in range(3))
@@ -356,7 +359,7 @@ def _locallaw_draw(args):
         out["ks"] = semicircle_distance(eigenvalues(sample))
     for eta, props in props_by_eta.items():
         ctx = resolvent(sample, props.z, prof, check=False)
-        out["sentinel"] = max(out["sentinel"], ward_sentinel(ctx))
+        out["sentinel"] = max(out["sentinel"], ctx.ward_dev)
         rep = local_law_ratios(ctx, props)
         out[eta] = (
             rep["max_offdiag_ratio"],
@@ -474,8 +477,8 @@ def _exp_universality(config, workers):
 
 def _que_chunk(args):
     # every draw's dense-inverse trace feeds the bound; the first trials are
-    # also eigendecomposed, and G is not built from spec, so the two traces
-    # check one factorization against the other
+    # also eigendecomposed, and G is not built from spec, so the overlap
+    # check's spectral trace checks one factorization against the other
     config, pi, t0, t1 = args
     prof = _profile_for(config)
     z = config.z()
@@ -485,13 +488,12 @@ def _que_chunk(args):
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
         ctx = resolvent(sample, z, prof, check=False)
-        sentinel = max(sentinel, ward_sentinel(ctx))
+        sentinel = max(sentinel, ctx.ward_dev)
         tr_res = traces[t - t0] = que_trace(ctx, pi, "resolvent")
         if t < config.trials:
-            spec = eigensolve(sample)
-            tr_spec = que_trace(ctx, pi, "spectral", spec=spec)
+            _, _, ok, tr_spec = overlap_bound_check(eigensolve(sample), z, pi, l=2 * z.imag)
             worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
-            holds += overlap_bound_check(spec, z, pi, l=2 * z.imag)[2]
+            holds += ok
     return traces, worst_rel, holds, sentinel
 
 
@@ -541,7 +543,6 @@ def _exp_graph(config, workers):
     z = config.z()
     props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
-    sentinel = ward_sentinel(ctx)
 
     t3_graph = AtomicGraph(
         (Atom(0, False), Atom(1, False), Atom(2, False), Atom(3, True)),
@@ -559,7 +560,7 @@ def _exp_graph(config, workers):
     )
 
     graphs = second_order_graphs(a, b1, b2)
-    theta_row = props.theta_circ_at(a, np.arange(n))
+    theta_row = prof.lattice.kernel_matrix(props.theta_circ_fft, a)
     _, lead, zm, corr = second_order_terms(ctx, theta_row, a, b1, b2)
     total = sum(
         evaluate(g, ctx, props, standard_bindings(a, b1, b2)) for g in graphs
@@ -583,7 +584,7 @@ def _exp_graph(config, workers):
     report.add("eval_gap_expansion", gap_exp, "|sum of expansion graph values - spectral terms|")
     report.add("scaling_orders_ok", float(orders_ok), "1 if hand-derived orders match")
     report.add("doubly_connected_ok", float(dc_ok), "1 if the built-in truth table matches")
-    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF)
+    report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
     return report
 
 
@@ -592,7 +593,6 @@ def _exp_pgon(config, workers):
     n = prof.lattice.N
     z = config.z()
     ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
-    sentinel = ward_sentinel(ctx)
     value, scale = pgon_average(ctx, np.arange(n), 2, "+-")
     ward_form = float(np.sum(np.imag(np.diagonal(ctx.G)))) / (n**2 * z.imag)
     report = StatReport("pgon", params=_params(config))
@@ -604,7 +604,7 @@ def _exp_pgon(config, workers):
         abs(value - ward_form),
         "|2-gon average - (N eta)^-1 N^-1 sum Im G_yy|",
     )
-    report.add("max_ward_sentinel_dev", sentinel, _SENTINEL_DEF)
+    report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
     return report
 
 

@@ -71,7 +71,7 @@ def s_pm(prof: VarianceProfile, z: complex):
 
 @dataclass(frozen=True)
 class PropagatorSet:
-    """All propagator kernels of one (profile, z) pair, plus lookups."""
+    """All propagator kernels of one (profile, z) pair, plus a theta_circ lookup."""
 
     profile: VarianceProfile
     z: complex
@@ -98,22 +98,8 @@ class PropagatorSet:
     def _tc_flat(self):
         return self.theta_circ_fft.ravel()
 
-    @cached_property
-    def _sp_flat(self):
-        return self.s_plus_fft.ravel()
-
-    @cached_property
-    def _sm_flat(self):
-        return self.s_minus_fft.ravel()
-
     def theta_circ_at(self, i, j):
         return self._tc_flat[self.lattice.diff_flat(i, j)]
-
-    def s_plus_at(self, i, j):
-        return self._sp_flat[self.lattice.diff_flat(i, j)]
-
-    def s_minus_at(self, i, j):
-        return self._sm_flat[self.lattice.diff_flat(i, j)]
 
 
 def b_profile(lat: TorusLattice, W: float, x, y, d: int | None = None) -> float:
@@ -157,11 +143,12 @@ def theta_bound_report(prof: VarianceProfile, z: complex, tau: float) -> dict:
     lat = prof.lattice
     tc = np.abs(theta_circ(prof, z)).ravel()
     bk = b_kernel(lat, prof.W).ravel()
-    dist = lat.distance_fft.ravel()
+    dist = lat.distance_fft.ravel()  # ufunc.at has its fast path for 1-d indices
     ratio = tc / bk
     shells = np.arange(int(dist.max()) + 1)
-    shell_theta = np.array([tc[dist == s].max() for s in shells])
-    shell_b = np.array([bk[dist == s].max() for s in shells])
+    shell_theta, shell_b = np.zeros((2, shells.size))
+    np.maximum.at(shell_theta, dist, tc)
+    np.maximum.at(shell_b, dist, bk)
     return {
         "tau": tau,
         "max_ratio": float(ratio.max()),

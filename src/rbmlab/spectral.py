@@ -24,8 +24,9 @@ Im z = eta > 0 every leading principal block of H - z is H_11 - z with H_11
 Hermitian, so its inverse has norm <= 1/eta, and every Schur complement's
 inverse is a diagonal block of G, of norm <= 1/eta as well (equivalently,
 i(H - z) has Hermitian part eta*I > 0).  LAPACK, with its own pivoting,
-inverts the blocks at and below _BLOCK_MIN.  Every harness resolvent passes
-ward_sentinel, the column Ward identity, in O(N^2).
+inverts the blocks at and below _BLOCK_MIN.  Every G that resolvent returns
+has passed the Ward sentinel, the column Ward identity checked in O(N^2)
+(ResolventContext.ward_dev).
 
 second_order_residual takes all its site triples at once: each chunk of
 trials (seeding._chunk_ranges, through the shared seeding._map_chunks) is
@@ -57,7 +58,6 @@ __all__ = [
     "SpectralData",
     "resolvent",
     "ward_residual",
-    "ward_sentinel",
     "t_three",
     "zero_mode_split",
     "second_order_terms",
@@ -112,6 +112,13 @@ class ResolventContext:
     def N(self) -> int:
         return self.sample.lattice.N
 
+    @functools.cached_property
+    def ward_dev(self) -> float:
+        """The Ward sentinel: largest relative deviation over columns y of
+        sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
+        _WARD_SENTINEL_TOL.  resolvent reads it before it returns."""
+        return _ward_check(self.G, self.eta, f"sample {self.sample.provenance}, z={self.z}")
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -125,7 +132,8 @@ def resolvent(
     sample: HermitianSample, z: complex, profile: Optional[VarianceProfile] = None,
     check: bool = True,
 ) -> ResolventContext:
-    """Dense inverse G = (H - z)^{-1} for Im z > 0, by _block_inv."""
+    """Dense inverse G = (H - z)^{-1} for Im z > 0, by _block_inv, always
+    checked by the Ward sentinel; check adds the O(N^3) residual test."""
     z = complex(z)
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
@@ -133,7 +141,9 @@ def resolvent(
     G = _block_inv(_shifted(h, z))
     if check:
         _check_residual(h, z, G)
-    return ResolventContext(z, semicircle_m(z), G, sample, profile)
+    ctx = ResolventContext(z, semicircle_m(z), G, sample, profile)
+    ctx.ward_dev  # raises NumericError on a wrong G
+    return ctx
 
 
 def _shifted(h, z):
@@ -202,16 +212,9 @@ def ward_residual(ctx: ResolventContext) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def ward_sentinel(ctx: ResolventContext) -> float:
-    """Largest relative deviation over columns y of the Ward identity
-    sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
-    _WARD_SENTINEL_TOL."""
-    return _ward_check(ctx.G, ctx.eta, f"sample {ctx.sample.provenance}, z={ctx.z}")
-
-
 def _ward_check(G, eta, what):
-    """ward_sentinel over a resolvent or a stack (..., N, N) of them, all at
-    Im z = eta; `what` names them in the error.
+    """The Ward sentinel over a resolvent or a stack (..., N, N) of them,
+    all at Im z = eta; `what` names them in the error.
 
     O(N^2) per matrix and free of N x N temporaries (sums over the real and
     imaginary views), so it can guard every resolvent a run computes.

@@ -167,24 +167,24 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     lat = ctx.lattice
     n = ctx.N
     W = props.profile.W
-    bker = b_kernel(lat, W)
     dist = lat.distance_fft
-    inv_neta = 1.0 / (n * ctx.eta)
     G = ctx.G
 
     diag_gap = float(np.max(np.abs(np.diagonal(G) - ctx.m)))
+    # B_xy + 1/(N eta) is one number per distance shell, and division by a
+    # fixed positive number keeps order even after rounding: the largest
+    # ratio on a shell is the shell's largest |G_xy|^2 over its denominator
+    # (raveled: ufunc.at has its fast path for 1-d indices only)
     max_dist = int(dist.max())
     shell_max = np.zeros(max_dist + 1)
-    ratio_max = 0.0
     block = max(1, (1 << 22) // n)
     for r0 in range(0, n, block):
-        rows = np.arange(r0, min(r0 + block, n))
-        denom = lat.kernel_matrix(bker, rows) + inv_neta
-        ratio = np.abs(G[rows, :]) ** 2 / denom
-        dmat = lat.kernel_matrix(dist, rows)
-        offdiag = dmat > 0
-        ratio_max = max(ratio_max, float(ratio[offdiag].max()))
-        np.maximum.at(shell_max, dmat.ravel(), ratio.ravel())
+        r1 = min(r0 + block, n)
+        dmat = lat.kernel_matrix(dist, np.arange(r0, r1))
+        np.maximum.at(shell_max, dmat.ravel(), (np.abs(G[r0:r1]) ** 2).ravel())
+    denom = np.empty(max_dist + 1)
+    denom[dist] = b_kernel(lat, W)
+    shell_max /= denom + 1.0 / (n * ctx.eta)
 
     report = StatReport(
         "local_law_ratios",
@@ -192,7 +192,7 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     )
     report.add("max_diag_gap", diag_gap, "max_x |G_xx - m(z)|")
     report.add(
-        "max_offdiag_ratio", ratio_max, "max_{x!=y} |G_xy|^2 / (B_xy + 1/(N eta))"
+        "max_offdiag_ratio", shell_max[1:].max(), "max_{x!=y} |G_xy|^2 / (B_xy + 1/(N eta))"
     )
     report.tables["ratio_shells"] = (
         ["distance", "max_ratio"],
@@ -234,12 +234,8 @@ def que_trace(
         M = _im_g(ctx.G) * pi.values[None, :]
         return float(np.real(np.sum(M * M.T)))
     if method == "spectral":
-        if spec is None:
-            spec = eigensolve(ctx.sample)
-        U = spec.eigenvectors
-        w = ctx.eta / (np.abs(spec.eigenvalues - ctx.z) ** 2)
-        M = U.conj().T @ (pi.values[:, None] * U)
-        return float(w @ (np.abs(M) ** 2) @ w)
+        w, M = _overlaps(spec or eigensolve(ctx.sample), ctx.z, pi)
+        return float(w @ M @ w)
     raise ParameterError(f"method must be 'resolvent' or 'spectral', got {method!r}")
 
 
@@ -268,23 +264,30 @@ def que_bound_ratio(traces, prof: VarianceProfile, pi: TestDiagonal) -> StatRepo
     return report
 
 
+def _overlaps(spec: SpectralData, z: complex, pi: TestDiagonal):
+    """(w, M): the spectral weights w_a = eta / |l_a - z|^2 and the overlaps
+    M_ab = |<u_a, Pi u_b>|^2, so that trace((Im G) Pi (Im G) Pi) = w M w."""
+    U = spec.eigenvectors
+    w = z.imag / (np.abs(spec.eigenvalues - z) ** 2)
+    M = np.abs(U.conj().T @ (pi.values[:, None] * U)) ** 2
+    return w, M
+
+
 def overlap_bound_check(spec: SpectralData, z: complex, pi: TestDiagonal, l: float):
     """Deterministic per-realization inequality: the eigenvector-overlap
     mass in an energy window of half-width l is at most (4 l^4 / eta^2)
-    trace((Im G) Pi (Im G) Pi).  Returns (lhs, rhs, holds)."""
+    trace((Im G) Pi (Im G) Pi).  Returns (lhs, rhs, holds, trace), where
+    trace equals que_trace(..., "spectral", spec=spec)."""
     z = complex(z)
     eta = z.imag
     if l < eta:
         raise ParameterError(f"window half-width l={l} must be >= eta={eta}")
-    lam = spec.eigenvalues
-    w = eta / (np.abs(lam - z) ** 2)
-    U = spec.eigenvectors
-    M = np.abs(U.conj().T @ (pi.values[:, None] * U)) ** 2
-    inside = np.abs(lam - z.real) <= l
+    w, M = _overlaps(spec, z, pi)
+    inside = np.abs(spec.eigenvalues - z.real) <= l
     lhs = float(np.sum(M[np.ix_(inside, inside)]))
     trace = float(w @ M @ w)
     rhs = float(4.0 * l**4 / eta**2 * trace)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-8)
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-8), trace
 
 
 def gap_ratio_mean(spec, kappa: float) -> float:

@@ -251,7 +251,7 @@ def test_criterion_07_que_trace_identity():
         rel = abs(a - b) / max(abs(a), 1e-300)
         assert rel <= 1e-8
         worst = max(worst, rel)
-        lhs, rhs, holds = overlap_bound_check(spec, z, pi, l=2 * z.imag)
+        lhs, rhs, holds, _ = overlap_bound_check(spec, z, pi, l=2 * z.imag)
         assert holds, (lhs, rhs)
     _report(7, f"trace identity on 50 draws (worst rel gap {worst:.2e}); overlap bound held on all")
 

@@ -273,6 +273,29 @@ def test_cli_success_and_exit_codes(tmp_path):
         assert not (bad / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("eta", ["0.3,0.3", "0.3,0.3000001,1.0"])
+def test_eta_grid_with_colliding_labels_exits_2(tmp_path, eta):
+    out = tmp_path / "locallaw"
+    res = _run_cli(
+        "locallaw", "--dim", "1", "--size", "64", "--band", "4", "--eta", eta,
+        "--trials", "1", "--out", str(out),
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "label(s) ['0.3']" in res.stderr
+    assert not (out / "metrics.json").exists()
+
+
+def test_cli_exits_0_when_the_reader_closes_stdout_early():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rbmlab.cli", "profile", "--dim", "1", "--size", "64", "--band", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [

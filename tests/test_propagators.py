@@ -127,6 +127,24 @@ def test_theta_bound_report():
         theta_bound_report(prof, 1.95 + 0.3j, tau=0.1)
 
 
+@pytest.mark.parametrize("d,L,W", [(1, 33, 4.0), (2, 16, 2.0), (3, 8, 2.0)])
+def test_theta_bound_report_shells_match_per_shell_masks(d, L, W):
+    prof = build_profile(get_shape("gaussian"), W, TorusLattice(d, L))
+    z = 0.2 + 0.3j
+    rep = theta_bound_report(prof, z, tau=0.1)
+    tc = np.abs(theta_circ(prof, z)).ravel()
+    bk = b_kernel(prof.lattice, W).ravel()
+    dist = prof.lattice.distance_fft.ravel()
+    shells = np.arange(int(dist.max()) + 1)
+    theta_max = np.array([tc[dist == s].max() for s in shells])
+    b_value = np.array([bk[dist == s].max() for s in shells])
+    assert np.array_equal(rep["distances"], shells)
+    assert np.array_equal(rep["theta_max"], theta_max)
+    assert np.array_equal(rep["b_value"], b_value)
+    assert np.array_equal(rep["shell_ratio"], theta_max / b_value)
+    assert rep["max_ratio"] == float((tc / bk).max())
+
+
 def test_theta_ratio_stable_under_doubling():
     z = 0.2 + 0.3j
     ratios = []

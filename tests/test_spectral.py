@@ -123,7 +123,7 @@ def test_block_inverse_of_a_stack():
 def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))
     ctx = resolvent(sample_band(prof, 14, 0), 0.3 + 0.01j, prof)
-    assert 0.0 <= spectral.ward_sentinel(ctx) <= 1e-9
+    assert 0.0 <= ctx.ward_dev <= 1e-9
     G = ctx.G
     bumped, flipped, holed = G.copy(), G.copy(), G.copy()
     bumped[3, 5] += 1e-3 * np.abs(G).max()
@@ -131,7 +131,15 @@ def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
     holed[0, 9] = np.nan
     for bad in (bumped, flipped, holed, G * (1.0 + 1e-4)):
         with pytest.raises(NumericError, match="Ward sentinel"):
-            spectral.ward_sentinel(ResolventContext(ctx.z, ctx.m, bad, ctx.sample, prof))
+            ResolventContext(ctx.z, ctx.m, bad, ctx.sample, prof).ward_dev
+
+
+def test_resolvent_never_returns_a_g_that_fails_the_ward_sentinel(monkeypatch):
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))
+    clean_inv = spectral._block_inv
+    monkeypatch.setattr(spectral, "_block_inv", lambda a: clean_inv(a) * (1.0 + 1e-4))
+    with pytest.raises(NumericError, match="Ward sentinel"):
+        resolvent(sample_band(prof, 14, 0), 0.3 + 0.01j, prof, check=False)
 
 
 def test_ward_identity_1x1_and_diagonal_case(medium_profile):

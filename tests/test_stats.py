@@ -125,19 +125,29 @@ def test_overlap_bound_examples(medium_profile, rng):
     pi = random_trace_zero(medium_profile.lattice, rng)
     for t in range(5):
         spec = eigensolve(sample_band(medium_profile, 41, t))
-        lhs, rhs, holds = overlap_bound_check(spec, z, pi, l=0.6)
+        lhs, rhs, holds, _ = overlap_bound_check(spec, z, pi, l=0.6)
         assert holds and lhs <= rhs * (1 + 1e-8)
     # Pi = 0 gives 0 <= 0
     spec = eigensolve(sample_band(medium_profile, 41, 0))
-    lhs, rhs, holds = overlap_bound_check(spec, z, TestDiagonal(np.zeros(32)), l=0.6)
+    lhs, rhs, holds, _ = overlap_bound_check(spec, z, TestDiagonal(np.zeros(32)), l=0.6)
     assert lhs == rhs == 0.0 and holds
     # l = eta specializes the constant to 4 eta^2 * trace
     ctx = resolvent(sample_band(medium_profile, 41, 0), z, medium_profile)
-    lhs, rhs, _ = overlap_bound_check(spec, z, pi, l=z.imag)
+    lhs, rhs, _, _ = overlap_bound_check(spec, z, pi, l=z.imag)
     tr = que_trace(ctx, pi, "spectral", spec=spec)
     assert rhs == pytest.approx(4 * z.imag**2 * tr, rel=1e-10)
     with pytest.raises(ParameterError):
         overlap_bound_check(spec, z, pi, l=0.1 * z.imag)
+
+
+def test_overlap_bound_check_returns_the_spectral_trace(medium_profile, rng):
+    z = 0.2 + 0.3j
+    sample = sample_band(medium_profile, 42, 0)
+    spec = eigensolve(sample)
+    ctx = resolvent(sample, z, medium_profile)
+    pi = random_trace_zero(medium_profile.lattice, rng)
+    for l in (z.imag, 0.6):
+        assert overlap_bound_check(spec, z, pi, l=l)[3] == que_trace(ctx, pi, "spectral", spec=spec)
 
 
 def test_pgon_average(medium_profile):
@@ -243,9 +253,18 @@ def _local_law_ratios_by_pair_index(ctx, props):
     }, shells
 
 
-def test_local_law_ratios_match_pair_index_formulation():
-    lat = TorusLattice(2, 8)
-    prof = build_profile(get_shape("gaussian"), 2.0, lat)
+@pytest.mark.parametrize(
+    "d,L,W",
+    [
+        (1, 101, 4.0),  # odd L
+        (2, 8, 2.0),
+        (3, 7, 2.0),
+        (1, 2053, 4.0),  # N > 2048: the row-block loop runs twice
+    ],
+)
+def test_local_law_ratios_match_pair_index_formulation(d, L, W):
+    lat = TorusLattice(d, L)
+    prof = build_profile(get_shape("gaussian"), W, lat)
     z = 0.2 + 0.3j
     props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, 63, 0), z, prof, check=False)
