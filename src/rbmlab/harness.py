@@ -490,6 +490,7 @@ def _que_chunk(args):
         ctx = resolvent(sample, z, prof, check=False)
         sentinel = max(sentinel, ctx.ward_dev)
         tr_res = traces[t - t0] = que_trace(ctx, pi, "resolvent")
+        del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
             _, _, ok, tr_spec = overlap_bound_check(eigensolve(sample), z, pi, l=2 * z.imag)
             worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))

@@ -6,7 +6,10 @@ Three dense routes, each for the callers that need no more than it gives:
 - resolvent: G(z) = (H - z)^{-1}, one inverse per z (local law, Ward and
   T-variable checks, graph evaluation), by a 2x2 block Schur recursion
   whose work is matrix products (about N^3 complex multiply-adds, against
-  4/3 N^3 for an LU solve against the identity);
+  4/3 N^3 for an LU solve against the identity).  _block_inv consumes its
+  argument and writes G over it, needing at most about 0.5 N^2 of
+  temporaries beside it, so one resolvent peaks near 1.5 N^2 complex
+  entries: the shifted copy of H that becomes G, and those temporaries;
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
   semicircle distance); about half the cost of the full eigensystem;
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
@@ -30,9 +33,9 @@ has passed the Ward sentinel, the column Ward identity checked in O(N^2)
 
 second_order_residual takes all its site triples at once: each chunk of
 trials (seeding._chunk_ranges, through the shared seeding._map_chunks) is
-drawn as one stack by sampler.sample_band_batch, inverted once by
-_block_inv and checked by the Ward sentinel, and every triple is evaluated
-on that stack by _second_order_batch.
+drawn as one stack by sampler.sample_band_batch, shifted and inverted in
+place by _block_inv and checked by the Ward sentinel, and every triple is
+evaluated on that stack by _second_order_batch.
 """
 
 import functools
@@ -138,7 +141,7 @@ def resolvent(
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
     h = sample.matrix
-    G = _block_inv(_shifted(h, z))
+    G = _block_inv(_shifted(h.astype(complex), z))
     if check:
         _check_residual(h, z, G)
     ctx = ResolventContext(z, semicircle_m(z), G, sample, profile)
@@ -146,51 +149,54 @@ def resolvent(
     return ctx
 
 
-def _shifted(h, z):
-    """A copy of h, one matrix or a stack (..., N, N), with z subtracted on
-    each diagonal: H - z."""
-    a = h.astype(complex)
+def _shifted(a, z):
+    """a, one complex matrix or a stack (..., N, N), with z subtracted on
+    each diagonal in place: H - z.  Callers that keep H pass a copy."""
     idx = np.arange(a.shape[-1])
     a[..., idx, idx] -= z
     return a
 
 
 def _block_inv(a):
-    """Inverse of each matrix in a stack a of shape (..., n, n), by the 2x2
-    block Schur recursion: with X = A11^{-1} and S = A22 - A21 X A12,
+    """Inverse of each matrix in a complex stack a of shape (..., n, n),
+    written over a, which is returned; a is consumed.  By the 2x2 block
+    Schur recursion: with X = A11^{-1} and S = A22 - A21 X A12,
 
         G = [[X + X A12 Y A21 X, -X A12 Y], [-Y A21 X, Y]],  Y = S^{-1}.
 
-    Six half-size products per level; blocks of n <= _BLOCK_MIN go to
-    np.linalg.inv.  No pivoting across blocks: every matrix must have
-    invertible leading principal blocks and Schur complements, which holds
-    for H - z with H Hermitian and Im z > 0 (see the module docstring).
+    Each block of the result goes over the block of a it replaces: X over
+    A11, S and then Y over A22, G12 over A12, G21 over A21, and G11 is
+    accumulated on X.  Beside a, at most two quarter-size temporaries are
+    live at one level, and fewer below it, so the whole recursion needs
+    about 0.5 n^2 entries more than a.  Six half-size products per level;
+    blocks of n <= _BLOCK_MIN are overwritten by np.linalg.inv.  No
+    pivoting across blocks: every matrix must have invertible leading
+    principal blocks and Schur complements, which holds for H - z with H
+    Hermitian and Im z > 0 (see the module docstring).
     """
     n = a.shape[-1]
     if n <= _BLOCK_MIN:
-        return np.linalg.inv(a)
+        a[...] = np.linalg.inv(a)
+        return a
     k = n // 2
-    a12, a21, a22 = a[..., :k, k:], a[..., k:, :k], a[..., k:, k:]
-    x = _block_inv(a[..., :k, :k])
-    nxa12 = x @ a12
+    a11, a12, a21, a22 = a[..., :k, :k], a[..., :k, k:], a[..., k:, :k], a[..., k:, k:]
+    _block_inv(a11)  # X
+    nxa12 = a11 @ a12
     nxa12 *= -1  # -X A12
-    na21x = a21 @ x
+    a22 += a21 @ nxa12  # Schur complement S = A22 - A21 X A12
+    _block_inv(a22)  # Y
+    na21x = a21 @ a11  # formed after Y: two temporaries at most are live
     na21x *= -1  # -A21 X
-    s = a21 @ nxa12
-    s += a22  # Schur complement A22 - A21 X A12
-    y = _block_inv(s)
-    del s  # before the output is allocated
-    g = np.empty_like(a)
-    g[..., k:, k:] = y
-    np.matmul(nxa12, y, out=g[..., :k, k:])
-    np.matmul(y, na21x, out=g[..., k:, :k])
-    np.matmul(nxa12, g[..., k:, :k], out=g[..., :k, :k])
-    g[..., :k, :k] += x
-    return g
+    np.matmul(nxa12, a22, out=a12)  # G12 = -X A12 Y
+    np.matmul(a22, na21x, out=a21)  # G21 = -Y A21 X
+    g11 = na21x[..., :k, :]  # -A21 X is spent: its buffer takes the k x k product
+    np.matmul(nxa12, a21, out=g11)
+    a11 += g11  # G11 = X + X A12 Y A21 X
+    return a
 
 
 def _check_residual(h, z, G):
-    r = _shifted(h, z) @ G
+    r = _shifted(h.astype(complex), z) @ G
     idx = np.arange(r.shape[0])
     r[idx, idx] -= 1.0
     resid = np.max(np.abs(r))

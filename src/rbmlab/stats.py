@@ -174,10 +174,12 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     # B_xy + 1/(N eta) is one number per distance shell, and division by a
     # fixed positive number keeps order even after rounding: the largest
     # ratio on a shell is the shell's largest |G_xy|^2 over its denominator
-    # (raveled: ufunc.at has its fast path for 1-d indices only)
+    # (raveled: ufunc.at has its fast path for 1-d indices only); rows go in
+    # blocks of about 2^18 entries, so the distance gather and the |G|^2
+    # temporaries stay near 4 MB at any N
     max_dist = int(dist.max())
     shell_max = np.zeros(max_dist + 1)
-    block = max(1, (1 << 22) // n)
+    block = max(1, (1 << 18) // n)
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
         dmat = lat.kernel_matrix(dist, np.arange(r0, r1))

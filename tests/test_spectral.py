@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,10 +116,38 @@ def test_block_inverse_of_a_stack():
     stack = np.stack([sample_gue(n, 13, t).matrix for t in range(2)])
     idx = np.arange(n)
     stack[:, idx, idx] -= zs[:, None]
+    want = np.linalg.inv(stack)  # before _block_inv overwrites the stack
     G = spectral._block_inv(stack)
-    want = np.linalg.inv(stack)
     assert G.shape == stack.shape
+    assert np.shares_memory(G, stack)
     assert np.max(np.abs(G - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("L", [129, 300])  # odd and even top-level split
+@pytest.mark.parametrize("check", [False, True])
+def test_resolvent_leaves_the_sample_unchanged(L, check):
+    # _block_inv writes over its argument; resolvent must hand it a copy of H
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, L))
+    s = sample_band(prof, 15, 0)
+    h = s.matrix.copy()
+    G = resolvent(s, 0.3 + 0.1j, prof, check=check).G
+    assert np.array_equal(s.matrix, h)
+    assert not np.shares_memory(G, s.matrix)
+
+
+def test_resolvent_peak_memory_is_one_and_a_half_inverses():
+    # the shifted copy that becomes G, plus at most about 0.5 N^2 of
+    # temporaries inside _block_inv: 1.52 N^2 complex entries at N = 1024
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
+    s = sample_band(prof, 16, 0)
+    n = s.lattice.N
+    tracemalloc.start()
+    try:
+        resolvent(s, 0.3 + 0.1j, prof, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():

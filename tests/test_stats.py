@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,7 +261,7 @@ def _local_law_ratios_by_pair_index(ctx, props):
         (1, 101, 4.0),  # odd L
         (2, 8, 2.0),
         (3, 7, 2.0),
-        (1, 2053, 4.0),  # N > 2048: the row-block loop runs twice
+        (1, 2053, 4.0),  # 2^18 // N = 127 rows a block: 17 blocks, the last partial
     ],
 )
 def test_local_law_ratios_match_pair_index_formulation(d, L, W):
@@ -272,6 +274,23 @@ def test_local_law_ratios_match_pair_index_formulation(d, L, W):
     metrics, shells = _local_law_ratios_by_pair_index(ctx, props)
     assert {k: m.value for k, m in rep.metrics.items()} == metrics
     assert rep.tables == {"ratio_shells": (["distance", "max_ratio"], shells)}
+
+
+def test_local_law_ratios_scans_g_in_bounded_row_blocks():
+    # the distance gather and the |G|^2 temporaries of one row block, not of
+    # all of G: a quarter of an N x N complex buffer at N = 1024
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
+    z = 0.2 + 0.3j
+    props = PropagatorSet.build(prof, z)
+    ctx = resolvent(sample_band(prof, 64, 0), z, prof, check=False)
+    n = ctx.N
+    tracemalloc.start()
+    try:
+        local_law_ratios(ctx, props)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * n * n, peak / (16 * n * n)
 
 
 def _bound_scale_by_displacement_field(prof, pi):
