@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
     WindowError,
 )
-from .lattice import TorusLattice, bracket_distance, representative, torus_distance
+from .lattice import TorusLattice, representative, torus_distance
 from .profile import (
     ShapeFunction,
     VarianceProfile,
@@ -31,14 +31,13 @@ from .spectral import (
     SpectralData,
     eigensolve,
     resolvent,
-    resolvent_from_spectrum,
     second_order_residual,
     semicircle_m,
     t_three,
     ward_residual,
     zero_mode_split,
 )
-from .propagators import PropagatorSet, b_profile, s_pm, theta_circ, theta_full
+from .propagators import PropagatorSet, b_profile, s_pm, theta_circ
 from .graphs import (
     AtomicGraph,
     evaluate,

@@ -22,10 +22,6 @@ class HalfPlaneError(ParameterError):
     """A spectral parameter z was given with Im z <= 0."""
 
 
-class RangeError(ParameterError):
-    """A scale parameter (e.g. eta) is below its supported range."""
-
-
 class InsufficientSamplesError(ParameterError):
     """A Monte Carlo routine was asked for too few trials."""
 

@@ -17,7 +17,7 @@ that are resolved against the resolvent context at evaluation time (the
 natural prefactors of expansion terms are z-dependent).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from string import ascii_letters
@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedEdgeError,
     UnsupportedLabelError,
 )
-from .propagators import d_eta_exponent
 
 __all__ = [
     "EdgeKind",
@@ -48,13 +47,11 @@ __all__ = [
     "molecules",
     "molecular_graph",
     "is_doubly_connected",
-    "graph_size",
     "graph_cost",
     "evaluate",
     "evaluate_brute",
     "second_order_graphs",
     "standard_bindings",
-    "dotted_normal_form",
     "serialize_graph",
     "parse_graph",
 ]
@@ -187,12 +184,6 @@ class AtomicGraph:
     def external_atoms(self):
         return tuple(a for a in self.atoms if not a.internal)
 
-    def atom(self, atom_id: int) -> Atom:
-        for a in self.atoms:
-            if a.id == atom_id:
-                return a
-        raise KeyError(atom_id)
-
     def has_labels(self) -> bool:
         return any(e.label for e in self.edges) or any(w.label for w in self.weights)
 
@@ -297,9 +288,6 @@ class MoleculeDecomposition:
     @property
     def n_molecules(self) -> int:
         return len(set(self.partition.values()))
-
-    def members(self, mol: int):
-        return sorted(a for a, m in self.partition.items() if m == mol)
 
 
 def molecules(g: AtomicGraph) -> MoleculeDecomposition:
@@ -423,13 +411,6 @@ def is_doubly_connected(g: AtomicGraph, cap: int = DC_EDGE_CAP):
             blue_tree = _tree_from(verts, rest)
             return True, (tuple(_tree_from(verts, black)), tuple(blue_tree))
     return False, None
-
-
-def graph_size(g: AtomicGraph, W: float, L: int, eta: float, d: int, delta0: float) -> float:
-    """(L^2/W^2)^{#ghost} * W^{-ord * d_eta}, with the eta-regime exponent."""
-    de = d_eta_exponent(W, L, eta, d, delta0)
-    n_ghost = sum(e.kind == EdgeKind.GHOST for e in g.edges)
-    return float((L**2 / W**2) ** n_ghost * W ** (-scaling_order(g) * de))
 
 
 _EVAL_CHUNK = 1 << 16
@@ -805,118 +786,6 @@ def second_order_graphs(a: int, b1: int, b2: int):
 def standard_bindings(a: int, b1: int, b2: int) -> dict:
     """Bindings for the external atoms of second_order_graphs."""
     return {0: int(a), 1: int(b1), 2: int(b2)}
-
-
-def _g_pair_needing_work(g: AtomicGraph):
-    """First atom pair whose G edges are not yet reconciled with the
-    dotted-edge bookkeeping: returns (pair, action) with action 'split'
-    (no companion edge) or 'collapse' (plain dotted companion forces the
-    pair equal), or (None, None)."""
-    dotted = {
-        e.pair(): e.kind
-        for e in g.edges
-        if e.kind in (EdgeKind.DOTTED, EdgeKind.CROSS_DOTTED)
-    }
-    for e in g.edges:
-        if e.kind in _G_KINDS:
-            kind = dotted.get(e.pair())
-            if kind is None:
-                return e.pair(), "split"
-            if kind == EdgeKind.DOTTED:
-                return e.pair(), "collapse"
-    return None, None
-
-
-def _g_edge_to_weight(e: Edge, carrier: int) -> Weight:
-    kind = WeightKind.REGULAR_BLUE if e.kind == EdgeKind.G_BLUE else WeightKind.REGULAR_RED
-    return Weight(carrier, kind, e.label)
-
-
-def _convert_pair_g_edges(g: AtomicGraph, pair, carrier: int, extra_edges=()):
-    edges = []
-    weights = list(g.weights)
-    for e in g.edges:
-        if e.kind in _G_KINDS and e.pair() == pair:
-            weights.append(_g_edge_to_weight(e, carrier))
-        else:
-            edges.append(e)
-    edges.extend(extra_edges)
-    return replace(g, edges=tuple(edges), weights=tuple(weights))
-
-
-def _merge_atoms(g: AtomicGraph, keep: int, drop: int):
-    """Merge internal atom `drop` into `keep`; returns None if the merge
-    contradicts a cross-dotted constraint (value zero)."""
-
-    def m(i):
-        return keep if i == drop else i
-
-    atoms = tuple(a for a in g.atoms if a.id != drop)
-    weights = [Weight(m(w.atom), w.kind, w.label) for w in g.weights]
-    edges = []
-    pair_constraints = {}
-    for e in g.edges:
-        a, b = m(e.a), m(e.b)
-        if a == b:
-            if e.kind in _G_KINDS:
-                weights.append(_g_edge_to_weight(e, a))
-                continue
-            if e.kind == EdgeKind.DOTTED:
-                continue  # delta_xx = 1
-            if e.kind == EdgeKind.CROSS_DOTTED:
-                return None  # (1 - delta_xx) = 0
-            edges.append(Edge(a, b, e.kind, e.order, e.label))
-            continue
-        edges.append(Edge(a, b, e.kind, e.order, e.label))
-    out = []
-    for e in edges:
-        if e.kind in (EdgeKind.DOTTED, EdgeKind.CROSS_DOTTED):
-            prev = pair_constraints.get(e.pair())
-            if prev is None:
-                pair_constraints[e.pair()] = e.kind
-                out.append(e)
-            elif prev != e.kind:
-                return None  # delta and (1 - delta) on the same pair
-            # duplicate same-kind constraint: drop (delta^2 = delta)
-        else:
-            out.append(e)
-    return replace(g, atoms=atoms, edges=tuple(out), weights=tuple(weights))
-
-
-def dotted_normal_form(g: AtomicGraph):
-    """Split every G edge lacking a dotted/cross-dotted companion into the
-    distinct-sites variant (add a cross-dotted edge) plus the merged
-    variant (sites forced equal, G edge becoming a regular weight).
-
-    The returned graphs pass is_normal (given the input had no other
-    defects) and their values sum to the value of the input on any
-    bindings.  Graphs whose merged variant is identically zero are dropped.
-    """
-    queue = [g]
-    out = []
-    while queue:
-        cur = queue.pop(0)
-        pair, action = _g_pair_needing_work(cur)
-        if pair is None:
-            out.append(cur)
-            continue
-        lo, hi = pair
-        lo_at, hi_at = cur.atom(lo), cur.atom(hi)
-        both_internal = lo_at.internal and hi_at.internal
-        if action == "split":
-            queue.append(
-                replace(cur, edges=cur.edges + (Edge(lo, hi, EdgeKind.CROSS_DOTTED),))
-            )
-        if both_internal:
-            # the equal-sites variant merges the two summation indices
-            merged = _merge_atoms(cur, lo, hi)
-            if merged is not None:
-                queue.append(merged)
-        else:
-            carrier = lo if not lo_at.internal else hi
-            extra = () if action == "collapse" else (Edge(lo, hi, EdgeKind.DOTTED),)
-            queue.append(_convert_pair_g_edges(cur, pair, carrier, extra_edges=extra))
-    return out
 
 
 # --- serialization -------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError, WindowError
 from .lattice import TorusLattice
 from .profile import (
     _SHAPES,
@@ -53,6 +53,7 @@ from .stats import (
     QUE_BOUND_MIN_DRAWS,
     StatReport,
     box_indicator,
+    deloc_supnorm,
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
@@ -110,11 +111,6 @@ class ResultRecord:
     report: StatReport
     wall_time: float
     version: str
-
-    @property
-    def substream_keys(self) -> tuple:
-        """The substream key of every trial, computed when read."""
-        return tuple(seed_substream(self.config.seed, t) for t in range(self.config.trials))
 
 
 def _as_int(v) -> int:
@@ -483,7 +479,7 @@ def _que_chunk(args):
     prof = _profile_for(config)
     z = config.z()
     traces = np.empty(t1 - t0)
-    worst_rel = sentinel = 0.0
+    worst_rel = sentinel = supnorm = 0.0
     holds = 0
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
@@ -492,10 +488,16 @@ def _que_chunk(args):
         tr_res = traces[t - t0] = que_trace(ctx, pi, "resolvent")
         del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
-            _, _, ok, tr_spec = overlap_bound_check(eigensolve(sample), z, pi, l=2 * z.imag)
+            spec = eigensolve(sample)
+            _, _, ok, tr_spec = overlap_bound_check(spec, z, pi, l=2 * z.imag)
             worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
             holds += ok
-    return traces, worst_rel, holds, sentinel
+            try:
+                supnorm = max(supnorm, deloc_supnorm(spec, kappa=0.5))
+            except WindowError:
+                pass  # no bulk eigenvalue in this draw: it adds nothing
+            del spec  # free the eigenvectors before the next draw's inverse
+    return traces, worst_rel, holds, sentinel, supnorm
 
 
 def _exp_que(config, workers):
@@ -517,6 +519,27 @@ def _exp_que(config, workers):
         "overlap_bound_holds_frac",
         sum(p[2] for p in parts) / config.trials,
         "fraction of draws where the overlap bound holds (must be 1)",
+        config.trials,
+    )
+    supnorm = max(p[4] for p in parts)
+    if supnorm == 0.0:  # a unit eigenvector has max_x |u_x|^2 >= 1/N
+        raise WindowError("no eigendecomposed draw has an eigenvalue in the bulk window |x| <= 1.5")
+    report.add(
+        "max_bulk_supnorm",
+        supnorm,
+        "max over draws and bulk eigenvectors (|lambda| <= 1.5) of max_x |u_x|^2",
+        config.trials,
+    )
+    report.add(
+        "bulk_supnorm_times_n",
+        config.N * supnorm,
+        "N * max_bulk_supnorm; 1 for a flat eigenvector",
+        config.trials,
+    )
+    report.add(
+        "bulk_supnorm_paper_ratio",
+        supnorm / (config.W**-5.0 * config.L ** (5.0 - config.d)),
+        "max_bulk_supnorm / (W^-5 L^(5-d)); report-only: the bound is proved for d >= 7",
         config.trials,
     )
     for k, met in bound_rep.metrics.items():

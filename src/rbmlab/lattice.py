@@ -21,7 +21,6 @@ __all__ = [
     "TorusLattice",
     "representative",
     "torus_distance",
-    "bracket_distance",
 ]
 
 
@@ -130,12 +129,6 @@ class TorusLattice:
         grids = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.maximum.reduce(grids)
 
-    def distance_row(self, i) -> np.ndarray:
-        """Periodic distances from site(s) i to every site, shape (..., N)."""
-        all_idx = np.arange(self.N)
-        flat = self.diff_flat(np.asarray(i)[..., None], all_idx)
-        return self.distance_fft.ravel()[flat]
-
 
 def representative(x, y, lat: TorusLattice) -> np.ndarray:
     """The unique element of (x - y) + L*Z^d lying in (-L/2, L/2]^d."""
@@ -148,10 +141,3 @@ def representative(x, y, lat: TorusLattice) -> np.ndarray:
 def torus_distance(x, y, lat: TorusLattice) -> int:
     """Periodic l-infinity distance between coordinates x and y."""
     return int(np.max(np.abs(representative(x, y, lat))))
-
-
-def bracket_distance(x, y, lat: TorusLattice, W) -> float:
-    """Regularized distance: torus_distance(x, y) + W, for W >= 1."""
-    if W < 1:
-        raise ParameterError(f"band width W must be >= 1, got {W}")
-    return torus_distance(x, y, lat) + W

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, HalfPlaneError, ParameterError, RangeError
+from .errors import CapacityError, HalfPlaneError, ParameterError
 from .lattice import TorusLattice, torus_distance
 from .profile import VarianceProfile
 from .spectral import semicircle_m
@@ -22,11 +22,9 @@ from .tables import write_table
 __all__ = [
     "PropagatorSet",
     "theta_circ",
-    "theta_full",
     "s_pm",
     "b_profile",
     "b_kernel",
-    "d_eta_exponent",
     "theta_bound_report",
     "dense_theta_circ",
     "dense_theta",
@@ -49,12 +47,6 @@ def theta_circ(prof: VarianceProfile, z: complex) -> np.ndarray:
     mult = mult.copy()
     mult.flat[0] = 0.0
     return np.fft.ifftn(mult).real
-
-
-def theta_full(prof: VarianceProfile, z: complex) -> np.ndarray:
-    """Uncentered diffusive kernel: theta_circ plus the constant uniform-mode
-    contribution Im m / (N eta)."""
-    return PropagatorSet.build(prof, z).theta_fft
 
 
 def s_pm(prof: VarianceProfile, z: complex):
@@ -117,18 +109,6 @@ def b_kernel(lat: TorusLattice, W: float) -> np.ndarray:
     if W < 1:
         raise ParameterError(f"band width W must be >= 1, got {W}")
     return W ** (-2.0) * (lat.distance_fft + W) ** (2.0 - lat.d)
-
-
-def d_eta_exponent(W: float, L: int, eta: float, d: int, delta0: float) -> float:
-    """Piecewise exponent matching (band scale)^(-2 d_eta) to the local scale."""
-    eta_star = W ** (-5.0 + delta0) * L ** (5.0 - d)
-    if eta >= (W / L) ** 2:
-        return d / 2.0
-    if eta >= eta_star:
-        return delta0 / 2.0
-    raise RangeError(
-        f"eta={eta:g} below supported range: min(eta*, (W/L)^2) with eta*={eta_star:g}"
-    )
 
 
 def theta_bound_report(prof: VarianceProfile, z: complex, tau: float) -> dict:

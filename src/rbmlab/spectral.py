@@ -13,8 +13,7 @@ Three dense routes, each for the callers that need no more than it gives:
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
   semicircle distance); about half the cost of the full eigensystem;
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
-  delocalization), from which resolvent_from_spectrum builds G(z) for
-  any z without another factorization.
+  delocalization).
 
 The GUE oracle of the universality comparison is read only through its
 eigenvalue law, so gue_eigenvalues draws that law directly from the beta=2
@@ -69,7 +68,6 @@ __all__ = [
     "eigenvalues",
     "gue_eigenvalues",
     "eigensolve",
-    "resolvent_from_spectrum",
 ]
 
 _RESIDUAL_TOL = 1e-10
@@ -196,11 +194,20 @@ def _block_inv(a):
 
 
 def _check_residual(h, z, G):
-    r = _shifted(h.astype(complex), z) @ G
-    idx = np.arange(r.shape[0])
-    r[idx, idx] -= 1.0
-    resid = np.max(np.abs(r))
-    gmax = np.max(np.abs(G))
+    """Raise unless max |(H - z) G - I| <= _RESIDUAL_TOL (1 + |G|max).  Rows
+    go in blocks of about 2^18 entries, as HG - zG - I, so beside G the
+    check holds no N x N temporary."""
+    n = G.shape[0]
+    block = max(1, (1 << 18) // n)
+    resid = gmax = 0.0
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
+        g = G[r0:r1]
+        r = h[r0:r1] @ G
+        r -= z * g
+        r[np.arange(r1 - r0), np.arange(r0, r1)] -= 1.0
+        resid = max(resid, float(np.max(np.abs(r))))
+        gmax = max(gmax, float(np.max(np.abs(g))))
     if resid > _RESIDUAL_TOL * (1.0 + gmax):
         raise NumericError(
             f"resolvent residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}*(1+|G|max)"
@@ -319,10 +326,6 @@ class SecondOrderResult:
     stderr_im: float
     trials: int
     max_ward_sentinel_dev: float  # over every trial's resolvent
-
-    @property
-    def stderr(self) -> float:
-        return float(np.hypot(self.stderr_re, self.stderr_im))
 
     @property
     def zscores(self):
@@ -464,13 +467,3 @@ def _finite(w, what):
     if not np.all(np.isfinite(w)):
         raise NumericError(f"non-finite eigenvalues for {what}")
     return w
-
-
-def resolvent_from_spectrum(spec: SpectralData, z: complex) -> np.ndarray:
-    """G(z) = sum_a u_a u_a^* / (lambda_a - z) from an eigendecomposition."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise HalfPlaneError("resolvent requires Im z > 0")
-    U = spec.eigenvectors
-    p = 1.0 / (spec.eigenvalues - z)
-    return (U * p) @ U.conj().T

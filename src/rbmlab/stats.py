@@ -1,6 +1,6 @@
 """Spectral statistics: semicircle distance, local-law ratios,
-delocalization, equidistribution traces and bounds, gap ratios, polygon
-averages, and the diagnostic operator norms.
+delocalization, equidistribution traces and bounds, gap ratios and polygon
+averages.
 
 Reference values for comparisons (GUE, Poisson) are always produced by
 sampling oracles inside the same run; no literature constants enter any
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lattice import TorusLattice
 from .profile import VarianceProfile
-from .propagators import PropagatorSet, b_kernel, d_eta_exponent
+from .propagators import PropagatorSet, b_kernel
 from .spectral import ResolventContext, SpectralData, eigensolve
 from .tables import table_text
 
@@ -42,7 +42,6 @@ __all__ = [
     "gap_ratio_mean",
     "pgon_average",
     "g_comparison",
-    "diagnostic_norms",
 ]
 
 _TRACE_TOL = 1e-10
@@ -207,10 +206,14 @@ def deloc_supnorm(spec: SpectralData, kappa: float) -> float:
     """Max over bulk eigenvectors (|lambda| <= 2 - kappa) of ||u||_inf^2."""
     if not 0 < kappa < 2:
         raise ParameterError(f"kappa must be in (0, 2), got {kappa}")
-    bulk = np.abs(spec.eigenvalues) <= 2.0 - kappa
-    if not bulk.any():
-        raise WindowError(f"no eigenvalues in the bulk window |x| <= {2 - kappa}")
-    return float(np.max(np.abs(spec.eigenvectors[:, bulk]) ** 2))
+    # the eigenvalues ascend, so the bulk is one contiguous run of columns:
+    # a slice is a view, where a boolean mask would copy them
+    edge = 2.0 - kappa
+    lo = np.searchsorted(spec.eigenvalues, -edge, side="left")
+    hi = np.searchsorted(spec.eigenvalues, edge, side="right")
+    if lo >= hi:
+        raise WindowError(f"no eigenvalues in the bulk window |x| <= {edge}")
+    return float(np.max(np.abs(spec.eigenvectors[:, lo:hi]) ** 2))
 
 
 def _im_g(G: np.ndarray) -> np.ndarray:
@@ -353,88 +356,3 @@ def g_comparison(K: float, W: float, eta: float, lat: TorusLattice) -> float:
     )
     second = 1.0 / (W**4 * K ** (d - 4)) + inv_neta * L**2 / W**2
     return float(np.sqrt(first * second))
-
-
-_NORM_CAP = 2048
-
-
-def _pair_distances(lat: TorusLattice) -> np.ndarray:
-    return lat.kernel_matrix(lat.distance_fft)
-
-
-def weak_norm(A: np.ndarray, lat: TorusLattice, W: float, eta: float, delta0: float) -> float:
-    """Scaled max entry plus the shell-sum supremum over dyadic radii
-    K in [W, L/2], each shell normalized by K^d sqrt(g_comparison(K)).
-    Homogeneous of degree 1 in A."""
-    absA = np.abs(A)
-    de = d_eta_exponent(W, lat.L, eta, lat.d, delta0)
-    out = W**de * float(absA.max())
-    T = absA + absA.T
-    dists = _pair_distances(lat)
-    Ks = []
-    k = W
-    while k <= lat.L / 2:
-        Ks.append(k)
-        k *= 2
-    if not Ks:
-        Ks = [lat.L / 2]
-    shell_term = 0.0
-    for K in Ks:
-        ball = (dists <= K).astype(float)  # ball[x0, y]
-        sums = T @ ball.T  # sums[x, x0] = sum_{y: |y - x0| <= K} T[x, y]
-        shell_term = max(
-            shell_term,
-            float(sums.max()) / (K**lat.d * np.sqrt(g_comparison(K, W, eta, lat))),
-        )
-    return out + shell_term
-
-
-def strong_norm(A: np.ndarray, lat: TorusLattice, W: float, Phi: float) -> float:
-    """max |A_xy| / (W^-1 <x-y>^{1-d/2} + Phi); homogeneous of degree 1."""
-    dists = _pair_distances(lat)
-    denom = W ** (-1.0) * (dists + W) ** (1.0 - lat.d / 2.0) + Phi
-    return float((np.abs(A) / denom).max())
-
-
-def diagnostic_norms(
-    ctx: ResolventContext, props: PropagatorSet, Phi: float, delta0: float = 0.1
-) -> StatReport:
-    """Report-only diagnostic norms of A = G - m I.
-
-    The weak norm combines the scaled max entry with shell sums over
-    dyadic radii K in [W, L/2]; the strong norm divides each entry by
-    W^{-1} <x-y>^{1 - d/2} + Phi.  Also reports the two flow-derivative
-    observables formed from diagonal and squared-resolvent contractions
-    against the centered kernel.
-    """
-    if Phi <= 0:
-        raise ParameterError(f"Phi must be positive, got {Phi}")
-    lat = ctx.lattice
-    n = ctx.N
-    if n > _NORM_CAP:
-        raise CapacityError(f"diagnostic_norms gated to N <= {_NORM_CAP}, got {n}")
-    W = props.profile.W
-    A = ctx.G - ctx.m * np.eye(n)
-    wnorm = weak_norm(A, lat, W, ctx.eta, delta0)
-    snorm = strong_norm(A, lat, W, Phi)
-
-    s0 = props.profile.dense_matrix() - 1.0 / n
-    G = ctx.G
-    Gsq = G @ G
-    variants = [(G, Gsq), (G.conj().T, Gsq.conj().T)]
-    l1 = 0.0
-    l2 = 0.0
-    for _, g1sq in variants:
-        for g2m, g2sq in variants:
-            l1 += abs(np.sum(np.diagonal(g1sq)[:, None] * s0 * np.diagonal(g2m)[None, :])) / n
-            l2 += abs(np.sum(g1sq * s0 * g2sq.T)) / n**2
-
-    report = StatReport(
-        "diagnostic_norms",
-        params={"z": str(ctx.z), "N": n, "W": W, "Phi": Phi, "delta0": delta0},
-    )
-    report.add("weak_norm", wnorm, "W^d_eta max|A| + dyadic shell-sum supremum")
-    report.add("strong_norm", snorm, "max |A_xy| / (W^-1 <x-y>^{1-d/2} + Phi)")
-    report.add("flow_observable_1", l1, "sum over resolvent pairs of |N^-1 sum_ab (G1^2)_aa s0_ab (G2)_bb|")
-    report.add("flow_observable_2", l2, "sum over resolvent pairs of |N^-2 sum_ab (G1^2)_ab s0_ab (G2^2)_ba|")
-    return report

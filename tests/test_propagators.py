@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from rbmlab.errors import CapacityError, ParameterError, RangeError
+from rbmlab.errors import CapacityError, ParameterError
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.propagators import (
     PropagatorSet,
     b_kernel,
     b_profile,
-    d_eta_exponent,
     dense_s_plus,
     dense_theta,
     dense_theta_circ,
@@ -16,7 +15,6 @@ from rbmlab.propagators import (
     s_pm,
     theta_bound_report,
     theta_circ,
-    theta_full,
 )
 from rbmlab.spectral import semicircle_m
 
@@ -59,7 +57,7 @@ def test_mean_field_theta_circ_vanishes():
 def test_theta_shift_closed_form_at_i():
     prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 16))
     z = 1j
-    shift = theta_full(prof, z) - theta_circ(prof, z)
+    shift = PropagatorSet.build(prof, z).theta_fft - theta_circ(prof, z)
     expected = (np.sqrt(5) - 1) / 2 / 16
     assert np.max(np.abs(shift - expected)) < 1e-14
 
@@ -67,7 +65,7 @@ def test_theta_shift_closed_form_at_i():
 def test_theta_full_constancy():
     prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 32))
     z = 0.1 + 0.7j
-    diff = theta_full(prof, z) - theta_circ(prof, z)
+    diff = PropagatorSet.build(prof, z).theta_fft - theta_circ(prof, z)
     assert np.ptp(diff) <= 1e-12
 
 
@@ -105,16 +103,6 @@ def test_b_kernel_matches_pointwise():
             assert bk[pf[i, j]] == pytest.approx(
                 b_profile(lat, 2.0, lat.coords[i], lat.coords[j])
             )
-
-
-def test_d_eta_exponent_branches():
-    # eta >= (W/L)^2 -> d/2
-    assert d_eta_exponent(4.0, 64, 0.5, 6, 0.2) == 3.0
-    assert d_eta_exponent(4.0, 64, (4.0 / 64.0) ** 2, 6, 0.2) == 3.0  # boundary
-    # eta* <= eta < (W/L)^2 -> delta0/2 (pick d large so eta* is tiny)
-    assert d_eta_exponent(4.0, 64, 1e-3, 9, 0.2) == 0.1
-    with pytest.raises(RangeError):
-        d_eta_exponent(4.0, 64, 1e-12, 9, 0.2)
 
 
 def test_theta_bound_report():

@@ -19,7 +19,6 @@ from rbmlab.spectral import (
     eigenvalues,
     gue_eigenvalues,
     resolvent,
-    resolvent_from_spectrum,
     second_order_residual,
     second_order_terms,
     semicircle_m,
@@ -137,17 +136,33 @@ def test_resolvent_leaves_the_sample_unchanged(L, check):
 
 def test_resolvent_peak_memory_is_one_and_a_half_inverses():
     # the shifted copy that becomes G, plus at most about 0.5 N^2 of
-    # temporaries inside _block_inv: 1.52 N^2 complex entries at N = 1024
+    # temporaries inside _block_inv: 1.52 N^2 complex entries at N = 1024;
+    # the residual check reads (H - z) G in row blocks and adds no N x N array
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
     s = sample_band(prof, 16, 0)
     n = s.lattice.N
-    tracemalloc.start()
-    try:
-        resolvent(s, 0.3 + 0.1j, prof, check=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * 16 * n * n, peak / (16 * n * n)
+    for check in (False, True):
+        tracemalloc.start()
+        try:
+            resolvent(s, 0.3 + 0.1j, prof, check=check)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 16 * n * n, (check, peak / (16 * n * n))
+
+
+def test_residual_check_rejects_a_wrong_entry_in_any_row_block():
+    # N = 600 splits into row blocks of 436 and 164 rows
+    s = sample_gue(600, 18, 0)
+    z = 0.3 + 0.1j
+    G = np.linalg.inv(s.matrix - z * np.eye(600))
+    spectral._check_residual(s.matrix, z, G)
+    for row in (0, 435, 436, 599):
+        # a wrong entry of H in one row puts the whole residual in that row
+        bad = s.matrix.copy()
+        bad[row, 7] += 1e-6
+        with pytest.raises(NumericError, match="resolvent residual"):
+            spectral._check_residual(bad, z, G)
 
 
 def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
@@ -404,17 +419,20 @@ def test_eigensolve_invariants(medium_profile):
 
 
 def test_resolvent_from_spectrum_agreement():
+    # G = sum_a u_a u_a^* / (lambda_a - z), built from the eigendecomposition
     lat = TorusLattice(1, 64)
     prof = build_profile(get_shape("gaussian"), 4.0, lat)
     s = sample_band(prof, 14, 0)
     z = 0.3 + 0.1j
     spec = eigensolve(s)
-    G_spec = resolvent_from_spectrum(spec, z)
+    U = spec.eigenvectors
+    G_spec = (U / (spec.eigenvalues - z)) @ U.conj().T
     G_direct = resolvent(s, z).G
     assert np.max(np.abs(G_spec - G_direct)) <= 1e-8
     # Im G is positive semidefinite
     im_g = (G_spec - G_spec.conj().T) / 2j
     assert np.linalg.eigvalsh(im_g).min() >= -1e-10
     # N = 1 closed form
-    one = resolvent_from_spectrum(eigensolve(_sample_from_matrix([[0.7]])), z)
-    assert abs(one[0, 0] - 1 / (0.7 - z)) < 1e-14
+    one = eigensolve(_sample_from_matrix([[0.7]]))
+    g_one = (one.eigenvectors / (one.eigenvalues - z)) @ one.eigenvectors.conj().T
+    assert abs(g_one[0, 0] - 1 / (0.7 - z)) < 1e-14

@@ -14,13 +14,12 @@ from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.propagators import PropagatorSet, b_kernel
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
-from rbmlab.spectral import eigensolve, resolvent, semicircle_m
+from rbmlab.spectral import eigensolve, resolvent
 from rbmlab.stats import (
     StatReport,
     TestDiagonal,
     box_indicator,
     deloc_supnorm,
-    diagnostic_norms,
     g_comparison,
     gap_ratio_mean,
     local_law_ratios,
@@ -74,13 +73,21 @@ def test_gap_ratio_examples(rng):
 
 
 def test_deloc_supnorm_examples():
+    def by_mask(spec, kappa):
+        # the bulk columns picked one by one, the oracle of the slice
+        bulk = np.abs(spec.eigenvalues) <= 2.0 - kappa
+        return float(np.max(np.abs(spec.eigenvectors[:, bulk]) ** 2))
+
     spec_i = eigensolve(_fixed(np.eye(16)))
     assert deloc_supnorm(spec_i, kappa=0.5) == pytest.approx(1.0)
+    assert deloc_supnorm(spec_i, kappa=0.5) == by_mask(spec_i, 0.5)
     with pytest.raises(WindowError):
         deloc_supnorm(spec_i, kappa=1.5)  # bulk window excludes lambda = 1
     gue = eigensolve(sample_gue(400, 7, 0))
     val = deloc_supnorm(gue, kappa=0.5)
     assert 1.0 / 400 <= val <= 25 * np.log(400) / 400
+    for kappa in (0.5, 1.0, 1.9):
+        assert deloc_supnorm(gue, kappa) == by_mask(gue, kappa)
     with pytest.raises(ParameterError):
         deloc_supnorm(gue, kappa=2.5)
 
@@ -329,43 +336,6 @@ def test_que_bound_ratio(small_profile):
         pi = box_indicator(prof.lattice, side)
         rep = que_bound_ratio(_que_traces(prof, pi), prof, pi)
         assert rep["bound_scale"] == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
-
-
-def test_diagnostic_norms(small_profile):
-    z = 0.2 + 0.3j
-    props = PropagatorSet.build(small_profile, z)
-    # H = 0: G - mI diagonal, both norms finite
-    zero = HermitianSample(small_profile.lattice, np.zeros((8, 8), dtype=complex), Provenance(0, 0, 0.0, "zero"))
-    ctx0 = resolvent(zero, z, small_profile)
-    rep0 = diagnostic_norms(ctx0, props, Phi=0.1)
-    assert np.isfinite(rep0["weak_norm"]) and np.isfinite(rep0["strong_norm"])
-    expected_entry = abs(-1 / z - semicircle_m(z))
-    assert rep0["strong_norm"] >= expected_entry / (1 / 2.0 * (0 + 2.0) ** 0.5 + 0.1) * 0.1
-    # homogeneity degree 1 in the matrix argument (scale H's resolvent gap)
-    lat64 = TorusLattice(1, 64)
-    prof64 = build_profile(get_shape("gaussian"), 4.0, lat64)
-    ctx = resolvent(sample_band(prof64, 71, 0), z, prof64, check=False)
-    props64 = PropagatorSet.build(prof64, z)
-    rep = diagnostic_norms(ctx, props64, Phi=0.1)
-    assert rep["weak_norm"] > 0 and rep["strong_norm"] > 0
-    assert np.isfinite(rep["flow_observable_1"]) and np.isfinite(rep["flow_observable_2"])
-    with pytest.raises(ParameterError):
-        diagnostic_norms(ctx, props64, Phi=0.0)
-
-
-def test_norms_homogeneous_degree_one(rng):
-    from rbmlab.stats import strong_norm, weak_norm
-
-    lat = TorusLattice(1, 16)
-    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    for scale in (3.0, 0.25):
-        assert weak_norm(scale * A, lat, 2.0, 0.3, 0.1) == pytest.approx(
-            scale * weak_norm(A, lat, 2.0, 0.3, 0.1), rel=1e-12
-        )
-        assert strong_norm(scale * A, lat, 2.0, 0.1) == pytest.approx(
-            scale * strong_norm(A, lat, 2.0, 0.1), rel=1e-12
-        )
-    assert weak_norm(0 * A, lat, 2.0, 0.3, 0.1) == 0.0
 
 
 def test_stat_report_serialization(tmp_path):
