@@ -21,7 +21,18 @@ __all__ = [
     "TorusLattice",
     "representative",
     "torus_distance",
+    "row_blocks",
 ]
+
+BLOCK_ENTRIES = 1 << 16  # entries per row block of a scan over an N x N matrix
+
+
+def row_blocks(n: int) -> list:
+    """The row ranges [r0, r1) that cover an n x n matrix in order, each of
+    at most BLOCK_ENTRIES entries (and at least one row), so a row-blocked
+    scan's temporaries stay near 1 MB of complex entries at any n."""
+    rows = max(1, BLOCK_ENTRIES // n)
+    return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
 
 
 @dataclass(frozen=True)
@@ -96,13 +107,17 @@ class TorusLattice:
 
     def convolve(self, kernel, v) -> np.ndarray:
         """(K v)[x] = sum_y k(x - y) v[y] for a displacement kernel (FFT
-        layout) and a vector v over sites, by FFT: O(N log N) time and no
-        N x N matrix.  Site and FFT axis indices differ by the constant
-        shift, which cancels in x - y.
+        layout) and a vector v over sites, or each vector of a stack v of
+        shape (..., N), by FFT: O(N log N) time and no N x N matrix.  Site
+        and FFT axis indices differ by the constant shift, which cancels in
+        x - y.
         """
         shape = (self.L,) * self.d
-        out = np.fft.ifftn(np.fft.fftn(np.reshape(kernel, shape)) * np.fft.fftn(np.reshape(v, shape)))
-        return out.real.ravel() if np.isrealobj(kernel) and np.isrealobj(v) else out.ravel()
+        axes = tuple(range(-self.d, 0))
+        v = np.asarray(v)
+        vk = np.fft.fftn(v.reshape(v.shape[:-1] + shape), axes=axes)
+        out = np.fft.ifftn(np.fft.fftn(np.reshape(kernel, shape)) * vk, axes=axes).reshape(v.shape)
+        return np.ascontiguousarray(out.real) if np.isrealobj(kernel) and np.isrealobj(v) else out
 
     def kernel_matrix(self, kernel, rows=None) -> np.ndarray:
         """Gather a displacement kernel (FFT layout) into K[x, y] = k(x - y).

@@ -2,19 +2,22 @@
 transition, all drawn by one stacked sampler, _draw.
 
 Every sample is a pure function of (master seed, trial index): the trial's
-substream key seeds a fresh generator, which makes one call of normals in a
-fixed canonical order (off-diagonal real parts over lexicographic
-upper-triangle pairs, then the imaginary parts, then the diagonal).
-Samples are therefore bit-reproducible regardless of scheduling.
+substream key seeds a fresh generator, whose one stream of normals comes in
+a fixed canonical order (off-diagonal real parts over lexicographic
+upper-triangle pairs, then the imaginary parts, then the diagonal).  It is
+drawn in row blocks of the matrix, and consecutive draws continue the
+stream, so the block size does not change a sample.  Samples are therefore
+bit-reproducible regardless of scheduling.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import TorusLattice
+from .lattice import TorusLattice, row_blocks
 from .profile import VarianceProfile, mean_field_profile
 from .seeding import substream_rng
 
@@ -50,38 +53,85 @@ class HermitianSample:
     provenance: Provenance
 
 
-def _draw(seed, t0, t1, n, offdiag_var, diag_var):
-    """The (t1 - t0, n, n) stack of the Hermitian draws of trials [t0, t1):
-    one call of n(n-1) + n normals per trial, in the canonical order, scaled
-    by offdiag_var (a scalar, or the n x n matrix read on its strict upper
-    triangle) and the scalar diag_var."""
-    m = n * (n - 1) // 2
-    out = np.empty((t1 - t0, n, n), dtype=complex)  # the three writes cover every entry
-    idx = np.arange(n)
-    upper = idx[:, None] < idx  # its row-major order is the pair order
-    sig = offdiag_var[upper] if np.ndim(offdiag_var) else np.array(offdiag_var, dtype=float)
-    np.sqrt(np.divide(sig, 2.0, out=sig), out=sig)  # in place: one pair-sized buffer
-    del offdiag_var  # frees a caller's temporary n x n matrix before the work buffers
+@functools.lru_cache(maxsize=16)
+def _layout(n):
+    """How _draw lays normals over an n x n matrix, shared by every draw of
+    that size (read-only): offs, where row x of the strict upper triangle
+    holds pairs [offs[x], offs[x + 1]) and offs[n] = n(n-1)/2; per
+    lattice.row_blocks(n) block, (r0, r1, upper) with upper the mask of the
+    strict upper triangle in rows [r0, r1), a view of one staircase
+    pattern (2n bytes per block row); and the strict lower mask of a
+    diagonal tile."""
+    x = np.arange(n + 1)
+    offs = x * n - x * (x + 1) // 2
+    blocks = row_blocks(n)
+    rows = blocks[0][1]
+    stair = np.arange(2 * n) > n + np.arange(rows)[:, None]  # stair[i, n - r0 + y]: y > r0 + i
+    tile_lower = np.tri(rows, k=-1, dtype=bool)
+    for a in (offs, stair, tile_lower):
+        a.setflags(write=False)
+    return offs, tuple((r0, r1, stair[: r1 - r0, n - r0 : 2 * n - r0]) for r0, r1 in blocks), tile_lower
+
+
+def _pair_sigma(prof):
+    """sqrt(s_xy / 2) over the strict upper triangle in pair order, the
+    standard deviation of Re h_xy and Im h_xy; gathered from row blocks of
+    the kernel, so no N x N variance matrix is formed."""
+    lat = prof.lattice
+    n = lat.N
+    offs, blocks, _ = _layout(n)
+    sig = np.empty(offs[n])
+    for r0, r1, upper in blocks:
+        sig[offs[r0] : offs[r1]] = lat.kernel_matrix(prof.kernel_fft, np.arange(r0, r1))[upper]
+    return np.sqrt(np.divide(sig, 2.0, out=sig), out=sig)
+
+
+def _draw(seed, t0, t1, n, sigma, diag_var):
+    """The (t1 - t0, n, n) stack of the Hermitian draws of trials [t0, t1).
+
+    Each trial's n(n-1) + n normals come in the canonical order, drawn in
+    row blocks (lattice.row_blocks) into one reused buffer: the real parts
+    block by block over the strict upper triangle, then the imaginary
+    parts, then the diagonal.  They are scaled by sigma (a scalar, or
+    _pair_sigma's vector) and by sqrt(diag_var) on the diagonal.  Beside
+    the stack, only block-sized buffers are live.
+    """
+    offs, layout, tile_lower = _layout(n)
+    buf = np.empty(max([n] + [offs[r1] - offs[r0] for r0, r1, _ in layout]))
+    # per row block: its rows and upper mask, the share of buf its normals
+    # fill, their scale, and the strict lower mask of its diagonal tile
+    blocks = [
+        (r0, r1, upper, buf[: offs[r1] - offs[r0]],
+         sigma[offs[r0] : offs[r1]] if np.ndim(sigma) else sigma,
+         tile_lower[: r1 - r0, : r1 - r0])
+        for r0, r1, upper in layout
+    ]
+    out = np.zeros((t1 - t0, n, n), dtype=complex)  # the diagonal stays real
+    diagonals = out.reshape(t1 - t0, n * n)[:, :: n + 1].real
     sig_diag = np.sqrt(diag_var)
-    raw = np.empty(2 * m + n)  # reused across trials
-    re, im, dg = raw[:m], raw[m : 2 * m], raw[2 * m :]
-    v = np.empty(m, dtype=complex)
-    for t, h in zip(range(t0, t1), out):
-        substream_rng(seed, t).standard_normal(out=raw)
-        np.multiply(re, sig, out=v.real)
-        np.multiply(im, sig, out=v.imag)
-        h[upper] = v
-        # the k-th True of upper in h.T's row-major order is entry (y, x) of pair k
-        h.T[upper] = np.conjugate(v, out=v)
-        h[idx, idx] = dg * sig_diag
+    for t, h, diagonal in zip(range(t0, t1), out, diagonals):
+        rng = substream_rng(seed, t)
+        for part in (h.real, h.imag):
+            for r0, r1, upper, v, scale, _ in blocks:
+                rng.standard_normal(out=v)  # continues the trial's one stream
+                v *= scale
+                part[r0:r1][upper] = v
+        for r0, r1, _, _, _, low in blocks:
+            # rows [r0, r1) below the diagonal: the adjoint of the upper
+            # entries in columns [r0, r1), then of the tile on the diagonal
+            if r0:
+                np.conjugate(h[:r0, r0:r1].T, out=h[r0:r1, :r0])
+            tile = h[r0:r1, r0:r1]
+            tile[low] = np.conjugate(tile.T[low])
+        rng.standard_normal(out=buf[:n])
+        np.multiply(buf[:n], sig_diag, out=diagonal)
     return out
 
 
 def sample_band_batch(prof: VarianceProfile, seed: int, t0: int, t1: int) -> np.ndarray:
     """The (t1 - t0, N, N) stack of sample_band(prof, seed, t).matrix over
     trials t in [t0, t1); the pair variances are gathered once per call."""
-    lat = prof.lattice
-    return _draw(seed, t0, t1, lat.N, lat.kernel_matrix(prof.kernel_fft), prof.kernel_flat[0])
+    return _draw(seed, t0, t1, prof.lattice.N, _pair_sigma(prof), prof.kernel_flat[0])
 
 
 def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample:
@@ -109,8 +159,10 @@ def ou_evolve(
     p = h0.provenance
     prov = Provenance(p.seed, p.trial, p.flow_time + t, p.profile_id)
     var = (1.0 - np.exp(-t)) / lat.N
-    xi = _draw(seed, trial, trial + 1, lat.N, var, var)[0]
-    xi += np.exp(-t / 2.0) * h0.matrix
+    xi = _draw(seed, trial, trial + 1, lat.N, np.sqrt(var / 2.0), var)[0]
+    decay = np.exp(-t / 2.0)
+    for r0, r1 in row_blocks(lat.N):  # no N x N temporary beside H_0 and Xi_t
+        xi[r0:r1] += decay * h0.matrix[r0:r1]
     return HermitianSample(lat, xi, prov)
 
 

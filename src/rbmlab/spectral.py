@@ -7,9 +7,10 @@ Three dense routes, each for the callers that need no more than it gives:
   T-variable checks, graph evaluation), by a 2x2 block Schur recursion
   whose work is matrix products (about N^3 complex multiply-adds, against
   4/3 N^3 for an LU solve against the identity).  _block_inv consumes its
-  argument and writes G over it, needing at most about 0.5 N^2 of
-  temporaries beside it, so one resolvent peaks near 1.5 N^2 complex
-  entries: the shifted copy of H that becomes G, and those temporaries;
+  argument and writes G over it, with one workspace of about N^2 / 8
+  entries beside it, so one resolvent peaks near 1.14 N^2 complex entries:
+  the shifted copy of H that becomes G, and that workspace.  The context
+  keeps G but not H, so a caller that drops its sample holds G alone;
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
   semicircle distance); about half the cost of the full eigensystem;
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
@@ -38,6 +39,7 @@ evaluated on that stack by _second_order_batch.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,8 +52,9 @@ from .errors import (
     NumericError,
     ParameterError,
 )
+from .lattice import BLOCK_ENTRIES, TorusLattice, row_blocks
 from .profile import VarianceProfile
-from .sampler import HermitianSample, sample_band_batch
+from .sampler import HermitianSample, Provenance, sample_band_batch
 from .seeding import _chunk_ranges, _map_chunks, substream_rng
 
 __all__ = [
@@ -89,12 +92,15 @@ def semicircle_m(z):
 
 @dataclass(frozen=True)
 class ResolventContext:
-    """z = E + i*eta, m(z), and the resolvent of one sample."""
+    """z = E + i*eta, m(z), and the resolvent of one sample, with the
+    sample's lattice and provenance but not its matrix, which the caller
+    may free once G exists."""
 
     z: complex
     m: complex
     G: np.ndarray = field(repr=False)
-    sample: HermitianSample
+    lattice: TorusLattice
+    provenance: Provenance
     profile: Optional[VarianceProfile] = None
 
     @property
@@ -106,19 +112,15 @@ class ResolventContext:
         return self.z.imag
 
     @property
-    def lattice(self):
-        return self.sample.lattice
-
-    @property
     def N(self) -> int:
-        return self.sample.lattice.N
+        return self.lattice.N
 
     @functools.cached_property
     def ward_dev(self) -> float:
         """The Ward sentinel: largest relative deviation over columns y of
         sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
         _WARD_SENTINEL_TOL.  resolvent reads it before it returns."""
-        return _ward_check(self.G, self.eta, f"sample {self.sample.provenance}, z={self.z}")
+        return _ward_check(self.G, self.eta, f"sample {self.provenance}, z={self.z}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def resolvent(
     G = _block_inv(_shifted(h.astype(complex), z))
     if check:
         _check_residual(h, z, G)
-    ctx = ResolventContext(z, semicircle_m(z), G, sample, profile)
+    ctx = ResolventContext(z, semicircle_m(z), G, sample.lattice, sample.provenance, profile)
     ctx.ward_dev  # raises NumericError on a wrong G
     return ctx
 
@@ -156,52 +158,78 @@ def _shifted(a, z):
 
 
 def _block_inv(a):
-    """Inverse of each matrix in a complex stack a of shape (..., n, n),
-    written over a, which is returned; a is consumed.  By the 2x2 block
-    Schur recursion: with X = A11^{-1} and S = A22 - A21 X A12,
+    """Inverse of each matrix in a complex matrix or stack a of shape
+    (..., n, n), written over a, which is returned; a is consumed.  By the
+    2x2 block Schur recursion: with X = A11^{-1}, T1 = -X A12,
+    T2 = -A21 X, S = A22 + A21 T1 and Y = S^{-1},
 
-        G = [[X + X A12 Y A21 X, -X A12 Y], [-Y A21 X, Y]],  Y = S^{-1}.
+        G = [[X + T1 Y T2, T1 Y], [Y T2, Y]].
 
-    Each block of the result goes over the block of a it replaces: X over
-    A11, S and then Y over A22, G12 over A12, G21 over A21, and G11 is
-    accumulated on X.  Beside a, at most two quarter-size temporaries are
-    live at one level, and fewer below it, so the whole recursion needs
-    about 0.5 n^2 entries more than a.  Six half-size products per level;
-    blocks of n <= _BLOCK_MIN are overwritten by np.linalg.inv.  No
-    pivoting across blocks: every matrix must have invertible leading
-    principal blocks and Schur complements, which holds for H - z with H
-    Hermitian and Im z > 0 (see the module docstring).
+    Each block goes over the block of a it replaces: X over A11, T1 over
+    A12, S and then Y over A22, T2 over A21, G21 = Y T2 over T2,
+    G11 = X + T1 G21 accumulated on X, and G12 = T1 Y over T1.  Each of
+    the six half-size products is formed in two halves (_product) in one
+    flat workspace allocated here and shared by every level, of about
+    n^2 / 8 entries per matrix.  Blocks of n <= _BLOCK_MIN go to LAPACK,
+    in sub-stacks of about BLOCK_ENTRIES entries.  No pivoting across
+    blocks: every matrix must have invertible leading principal blocks and
+    Schur complements, which holds for H - z with H Hermitian and
+    Im z > 0 (see the module docstring).
     """
     n = a.shape[-1]
-    if n <= _BLOCK_MIN:
-        a[...] = np.linalg.inv(a)
-        return a
-    k = n // 2
-    a11, a12, a21, a22 = a[..., :k, :k], a[..., :k, k:], a[..., k:, :k], a[..., k:, k:]
-    _block_inv(a11)  # X
-    nxa12 = a11 @ a12
-    nxa12 *= -1  # -X A12
-    a22 += a21 @ nxa12  # Schur complement S = A22 - A21 X A12
-    _block_inv(a22)  # Y
-    na21x = a21 @ a11  # formed after Y: two temporaries at most are live
-    na21x *= -1  # -A21 X
-    np.matmul(nxa12, a22, out=a12)  # G12 = -X A12 Y
-    np.matmul(a22, na21x, out=a21)  # G21 = -Y A21 X
-    g11 = na21x[..., :k, :]  # -A21 X is spent: its buffer takes the k x k product
-    np.matmul(nxa12, a21, out=g11)
-    a11 += g11  # G11 = X + X A12 Y A21 X
+    stack = a.reshape(-1, n, n, copy=False)
+    half = n - n // 2  # the larger block; its products are the largest
+    size = stack.shape[0] * half * ((half + 1) // 2) if n > _BLOCK_MIN else 0
+    _inv_over(stack, np.empty(size, dtype=complex))
     return a
+
+
+def _inv_over(a, ws):
+    """_block_inv of the (B, n, n) stack a, with the flat workspace ws."""
+    n = a.shape[-1]
+    if n <= _BLOCK_MIN:
+        step = max(1, BLOCK_ENTRIES // (n * n))
+        for i in range(0, a.shape[0], step):
+            a[i : i + step] = np.linalg.inv(a[i : i + step])
+        return
+    k = n // 2
+    a11, a12, a21, a22 = a[:, :k, :k], a[:, :k, k:], a[:, k:, :k], a[:, k:, k:]
+    _inv_over(a11, ws)  # X
+    _product(a11, a12, a12, ws, "-")  # T1 = -X A12
+    _product(a21, a12, a22, ws, "+=")  # S = A22 + A21 T1
+    _inv_over(a22, ws)  # Y
+    _product(a21, a11, a21, ws, "-")  # T2 = -A21 X
+    _product(a22, a21, a21, ws, "=")  # G21 = Y T2
+    _product(a12, a21, a11, ws, "+=")  # G11 = X + T1 G21
+    _product(a12, a22, a12, ws, "=")  # G12 = T1 Y
+
+
+def _product(x, y, dst, ws, how):
+    """dst = -(x @ y), dst += x @ y or dst = x @ y (how: "-", "+=", "="),
+    formed in two halves in the flat workspace ws.  The halves split y's
+    columns when dst is y, since column j of x @ y reads only column j of
+    y, and x's rows otherwise, so dst may be either operand."""
+    by_cols = dst is y
+    m = y.shape[-1] if by_cols else x.shape[-2]
+    h = (m + 1) // 2
+    for s in (slice(0, h), slice(h, m)):
+        xs, ys, ds = (x, y[..., s], dst[..., s]) if by_cols else (x[..., s, :], y, dst[..., s, :])
+        shape = xs.shape[:-1] + ys.shape[-1:]
+        p = np.matmul(xs, ys, out=ws[: math.prod(shape)].reshape(shape))
+        if how == "-":
+            np.negative(p, out=ds)
+        elif how == "+=":
+            ds += p
+        else:
+            ds[...] = p
 
 
 def _check_residual(h, z, G):
     """Raise unless max |(H - z) G - I| <= _RESIDUAL_TOL (1 + |G|max).  Rows
-    go in blocks of about 2^18 entries, as HG - zG - I, so beside G the
-    check holds no N x N temporary."""
-    n = G.shape[0]
-    block = max(1, (1 << 18) // n)
+    go in lattice.row_blocks, as HG - zG - I, so beside G the check holds
+    no N x N temporary."""
     resid = gmax = 0.0
-    for r0 in range(0, n, block):
-        r1 = min(r0 + block, n)
+    for r0, r1 in row_blocks(G.shape[0]):
         g = G[r0:r1]
         r = h[r0:r1] @ G
         r -= z * g
@@ -293,29 +321,32 @@ def second_order_terms(ctx: ResolventContext, theta_row_a: np.ndarray,
     The residual T - leading - zero_mode - correction has mean zero.
     """
     prof = _require_profile(ctx)
-    G = ctx.G[None]  # reuse the batched kernel below
     T, lead, zm, corr = _second_order_batch(
-        G, ctx.m, ctx.eta, prof.dense_matrix(), theta_row_a, a, b1, b2
+        ctx.G[None], ctx.m, ctx.eta, prof, [(a, b1, b2)], np.asarray(theta_row_a)[None]
     )
-    return complex(T[0]), complex(lead[0]), complex(zm[0]), complex(corr[0])
+    return complex(T[0, 0]), complex(lead[0, 0]), complex(zm[0, 0]), complex(corr[0, 0])
 
 
-def _second_order_batch(G, m, eta, S, theta_row_a, a, b1, b2):
-    """Vectorized over a stack of resolvents, shape (B, N, N)."""
+def _second_order_batch(G, m, eta, prof, sites, theta_rows):
+    """second_order_terms over a stack of resolvents G, shape (B, N, N),
+    and a list of site triples (a, b1, b2) whose theta_circ rows are
+    theta_rows, shape (len(sites), N): (T, leading, zero_mode, correction),
+    each of shape (len(sites), B).  The sums against S are convolutions
+    with the profile's kernel by FFT: two per stack, for all triples."""
     n = G.shape[-1]
     mm = abs(m) ** 2
+    a, b1, b2 = np.asarray(sites).T
+    lat = prof.lattice
     Gd = np.diagonal(G, axis1=-2, axis2=-1)
-    gb1 = G[..., :, b1]
-    gb2c = G[..., :, b2].conj()
-    pair = gb1 * gb2c
-    sa = S[a]
-    T = mm * (pair @ sa)
-    lead = m * theta_row_a[b1] * G[..., b1, b2].conj()
-    zm = mm / (2j * n * eta) * (G[..., b2, b1] - G[..., b1, b2].conj())
-    u = (Gd - m) @ S  # sum_y s_xy (G_yy - m), S symmetric
-    w = pair @ S      # sum_y s_xy G_yb1 conj(G_yb2)
+    pair = np.moveaxis(G[..., :, b1] * G[..., :, b2].conj(), -1, 0)  # G_xb1 conj(G_xb2)
+    T = mm * np.einsum("tbx,tx->tb", pair, prof.s_pairs(a[:, None], np.arange(n)))
+    g12c = G[..., b1, b2].conj().T
+    lead = m * theta_rows[np.arange(len(a)), b1][:, None] * g12c
+    zm = mm / (2j * n * eta) * (G[..., b2, b1].T - g12c)
+    u = lat.convolve(prof.kernel_fft, Gd - m)  # sum_y s_xy (G_yy - m)
+    w = lat.convolve(prof.kernel_fft, pair)  # sum_y s_xy G_yb1 conj(G_yb2)
     A = m * u * pair + m * (Gd.conj() - np.conj(m)) * w
-    corr = A @ theta_row_a
+    corr = np.einsum("tbx,tx->tb", A, theta_rows)
     return T, lead, zm, corr
 
 
@@ -361,11 +392,10 @@ def second_order_residual(
     if not sites or any(len(t) != 3 or min(t) < 0 or max(t) >= lat.N for t in sites):
         raise ParameterError(f"need site triples with entries in [0, {lat.N}), got {sites}")
     z = complex(z)
-    S = prof.dense_matrix()
     theta_rows = lat.kernel_matrix(theta_circ(prof, z), [a for a, _, _ in sites])
     partials = _map_chunks(
         _residual_chunk,
-        [(prof, z, sites, theta_rows, S, seed, t0, t1) for t0, t1 in _chunk_ranges(trials)],
+        [(prof, z, sites, theta_rows, seed, t0, t1) for t0, t1 in _chunk_ranges(trials)],
         workers,
     )
     sentinel = max(dev for dev, _ in partials)
@@ -401,15 +431,12 @@ def _merge_moments(a, b):
 def _residual_chunk(args):
     """The Ward sentinel's deviation and the residual moments of every site
     triple over trials [t0, t1), from one stack of draws inverted once."""
-    prof, z, sites, theta_rows, S, seed, t0, t1 = args
+    prof, z, sites, theta_rows, seed, t0, t1 = args
     m = semicircle_m(z)
     G = _block_inv(_shifted(sample_band_batch(prof, seed, t0, t1), z))
     dev = _ward_check(G, z.imag, f"seed {seed}, trials [{t0}, {t1}), z={z}")
-    out = []
-    for (a, b1, b2), theta_row in zip(sites, theta_rows):
-        T, lead, zm, corr = _second_order_batch(G, m, z.imag, S, theta_row, a, b1, b2)
-        out.append(_moments(T - lead - zm - corr))
-    return dev, out
+    T, lead, zm, corr = _second_order_batch(G, m, z.imag, prof, sites, theta_rows)
+    return dev, [_moments(r) for r in T - lead - zm - corr]
 
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:

@@ -20,10 +20,10 @@ from .errors import (
     ParameterError,
     WindowError,
 )
-from .lattice import TorusLattice
+from .lattice import TorusLattice, row_blocks
 from .profile import VarianceProfile
 from .propagators import PropagatorSet, b_kernel
-from .spectral import ResolventContext, SpectralData, eigensolve
+from .spectral import ResolventContext, SpectralData
 from .tables import table_text
 
 __all__ = [
@@ -174,13 +174,11 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     # fixed positive number keeps order even after rounding: the largest
     # ratio on a shell is the shell's largest |G_xy|^2 over its denominator
     # (raveled: ufunc.at has its fast path for 1-d indices only); rows go in
-    # blocks of about 2^18 entries, so the distance gather and the |G|^2
-    # temporaries stay near 4 MB at any N
+    # lattice.row_blocks, so the distance gather and the |G|^2 temporaries
+    # stay near 1 MB at any N
     max_dist = int(dist.max())
     shell_max = np.zeros(max_dist + 1)
-    block = max(1, (1 << 18) // n)
-    for r0 in range(0, n, block):
-        r1 = min(r0 + block, n)
+    for r0, r1 in row_blocks(n):
         dmat = lat.kernel_matrix(dist, np.arange(r0, r1))
         np.maximum.at(shell_max, dmat.ravel(), (np.abs(G[r0:r1]) ** 2).ravel())
     denom = np.empty(max_dist + 1)
@@ -227,7 +225,9 @@ def que_trace(
     spec: Optional[SpectralData] = None,
 ) -> float:
     """trace((Im G) Pi (Im G) Pi), by matrix products or by the spectral
-    double sum sum_{ab} eta^2 |<u_a, Pi u_b>|^2 / (|l_a-z|^2 |l_b-z|^2).
+    double sum sum_{ab} eta^2 |<u_a, Pi u_b>|^2 / (|l_a-z|^2 |l_b-z|^2)
+    over spec, the eigendecomposition of the context's sample, which the
+    spectral method requires (the context does not keep the matrix).
 
     The two methods are an exact identity and agree to round-off.
     """
@@ -239,7 +239,9 @@ def que_trace(
         M = _im_g(ctx.G) * pi.values[None, :]
         return float(np.real(np.sum(M * M.T)))
     if method == "spectral":
-        w, M = _overlaps(spec or eigensolve(ctx.sample), ctx.z, pi)
+        if spec is None:
+            raise ContractError("que_trace's spectral method requires spec")
+        w, M = _overlaps(spec, ctx.z, pi)
         return float(w @ M @ w)
     raise ParameterError(f"method must be 'resolvent' or 'spectral', got {method!r}")
 

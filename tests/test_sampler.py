@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ def _reference_band(prof, seed, trial):
 @pytest.mark.parametrize(
     "psi,W,d,L",
     [("gaussian", 2.0, 1, 8), ("compact-bump", 3.0, 1, 33), ("gaussian", 2.0, 2, 6),
-     ("compact-bump", 2.0, 2, 9), ("mean-field", None, 1, 17)],
+     ("compact-bump", 2.0, 2, 9), ("mean-field", None, 1, 17),
+     ("gaussian", 4.0, 1, 700)],  # row blocks of 93 rows, the last of 49
 )
 def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
     lat = TorusLattice(d, L)
@@ -67,6 +69,20 @@ def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
         assert stack.shape == (6, n, n)
         for t, h in zip(range(3, 9), stack):
             assert np.array_equal(h, _reference_band(prof, seed, t))
+
+
+def test_sample_band_peak_memory_is_the_output_and_its_pair_scales():
+    # the matrix, sqrt(s_xy / 2) over the pairs (a quarter of it) and
+    # block-sized buffers: no N x N variance matrix, no full vector of normals
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
+    n = prof.lattice.N
+    tracemalloc.start()
+    try:
+        sample_band(prof, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_hermitian_exact(small_profile):

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rbmlab.spectral import (
     ward_residual,
     zero_mode_split,
 )
-from rbmlab.propagators import PropagatorSet
+from rbmlab.propagators import PropagatorSet, theta_circ
 from rbmlab.stats import gap_ratio_mean
 
 
@@ -66,9 +67,10 @@ def test_resolvent_trivial_cases():
 
 
 def test_resolvent_residual(medium_profile):
-    ctx = resolvent(sample_band(medium_profile, 17, 0), 0.3 + 0.1j, medium_profile)
+    s = sample_band(medium_profile, 17, 0)
+    ctx = resolvent(s, 0.3 + 0.1j, medium_profile)
     n = ctx.N
-    resid = np.max(np.abs((ctx.sample.matrix - ctx.z * np.eye(n)) @ ctx.G - np.eye(n)))
+    resid = np.max(np.abs((s.matrix - ctx.z * np.eye(n)) @ ctx.G - np.eye(n)))
     assert resid <= 1e-10 * (1 + np.max(np.abs(ctx.G)))
 
 
@@ -134,30 +136,45 @@ def test_resolvent_leaves_the_sample_unchanged(L, check):
     assert not np.shares_memory(G, s.matrix)
 
 
-def test_resolvent_peak_memory_is_one_and_a_half_inverses():
-    # the shifted copy that becomes G, plus at most about 0.5 N^2 of
-    # temporaries inside _block_inv: 1.52 N^2 complex entries at N = 1024;
-    # the residual check reads (H - z) G in row blocks and adds no N x N array
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resolvent_peak_memory_is_one_and_an_eighth_inverses():
+    # the shifted copy that becomes G, plus _block_inv's one workspace of
+    # about N^2 / 8 entries: 1.14 N^2 complex entries at N = 1024; the
+    # residual check reads (H - z) G in row blocks and adds no N x N array
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
     s = sample_band(prof, 16, 0)
     n = s.lattice.N
     for check in (False, True):
-        tracemalloc.start()
-        try:
-            resolvent(s, 0.3 + 0.1j, prof, check=check)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * 16 * n * n, (check, peak / (16 * n * n))
+        peak = _traced_peak(lambda: resolvent(s, 0.3 + 0.1j, prof, check=check))
+        assert peak <= 1.25 * 16 * n * n, (check, peak / (16 * n * n))
+
+
+def test_resolvent_context_lets_the_sample_go():
+    # the context keeps G, the lattice and the provenance, not H
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))
+    s = sample_band(prof, 19, 0)
+    ctx = resolvent(s, 0.3 + 0.1j, prof)
+    matrix = weakref.ref(s.matrix)
+    assert (ctx.lattice, ctx.provenance) == (s.lattice, s.provenance)
+    del s
+    assert matrix() is None
 
 
 def test_residual_check_rejects_a_wrong_entry_in_any_row_block():
-    # N = 600 splits into row blocks of 436 and 164 rows
+    # N = 600 splits into row blocks of 109 rows, the last of 55
     s = sample_gue(600, 18, 0)
     z = 0.3 + 0.1j
     G = np.linalg.inv(s.matrix - z * np.eye(600))
     spectral._check_residual(s.matrix, z, G)
-    for row in (0, 435, 436, 599):
+    for row in (0, 108, 109, 599):
         # a wrong entry of H in one row puts the whole residual in that row
         bad = s.matrix.copy()
         bad[row, 7] += 1e-6
@@ -176,7 +193,7 @@ def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
     holed[0, 9] = np.nan
     for bad in (bumped, flipped, holed, G * (1.0 + 1e-4)):
         with pytest.raises(NumericError, match="Ward sentinel"):
-            ResolventContext(ctx.z, ctx.m, bad, ctx.sample, prof).ward_dev
+            ResolventContext(ctx.z, ctx.m, bad, ctx.lattice, ctx.provenance, prof).ward_dev
 
 
 def test_resolvent_never_returns_a_g_that_fails_the_ward_sentinel(monkeypatch):
@@ -217,7 +234,7 @@ def test_t_three_diagonal_cases(small_profile):
     assert val.real >= 0.0
     # H = 0: G = -I/z, so T_{a,b1b2} = |m|^2 s_ab1 delta_b1b2 / |z|^2
     zero_ctx = ResolventContext(
-        z, ctx.m, -np.eye(8, dtype=complex) / z, ctx.sample, small_profile
+        z, ctx.m, -np.eye(8, dtype=complex) / z, ctx.lattice, ctx.provenance, small_profile
     )
     S = small_profile.dense_matrix()
     mm = abs(ctx.m) ** 2
@@ -251,6 +268,25 @@ def test_second_order_terms_consistency(small_profile):
     assert abs(zm - zm2) < 1e-14
     # the residual is the fluctuation part; it need not vanish per draw
     assert np.isfinite(abs(T - lead - zm - corr))
+
+
+def test_second_order_terms_match_the_dense_variance_matrix(medium_profile):
+    # the FFT convolutions with the kernel against the sums over dense S
+    z = 0.2 + 0.5j
+    ctx = resolvent(sample_band(medium_profile, 23, 0), z, medium_profile)
+    props = PropagatorSet.build(medium_profile, z)
+    S = medium_profile.dense_matrix()
+    G, m = ctx.G, ctx.m
+    gd = np.diagonal(G)
+    for a, b1, b2 in [(0, 1, 3), (0, 0, 0), (5, 9, 9), (31, 30, 2)]:
+        theta_row = props.theta_circ_at(a, np.arange(32))
+        pair = G[:, b1] * G[:, b2].conj()
+        T = abs(m) ** 2 * (S[a] @ pair)
+        A = m * (S @ (gd - m)) * pair + m * (gd.conj() - np.conj(m)) * (S @ pair)
+        corr = A @ theta_row
+        got_t, _, _, got_corr = second_order_terms(ctx, theta_row, a, b1, b2)
+        assert abs(got_t - T) <= 1e-14 * abs(T)
+        assert abs(got_corr - corr) <= 1e-13 * (1 + abs(corr))
 
 
 def test_second_order_residual_smoke_and_validation(small_profile):
@@ -314,6 +350,18 @@ def test_second_order_residual_draws_and_inverts_each_trial_once(small_profile, 
     second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 200, seed=8)
     assert sorted(draws) == list(range(200))
     assert sum(inverted) == 200
+
+
+def test_texp2_chunk_peak_memory_is_one_stack_and_blocks():
+    # a 64-trial chunk at N = 128 is inverted by LAPACK alone, in sub-stacks
+    # of about 2^16 entries, so beside the chunk's stack of draws (which
+    # becomes the stack of resolvents) only block-sized temporaries are live
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 128))
+    z = 0.2 + 0.5j
+    theta_rows = prof.lattice.kernel_matrix(theta_circ(prof, z), [a for a, _, _ in _TRIPLES])
+    args = (prof, z, _TRIPLES, theta_rows, 5, 0, 64)
+    peak = _traced_peak(lambda: spectral._residual_chunk(args))
+    assert peak <= 1.3 * 64 * 16 * 128**2, peak / (64 * 16 * 128**2)
 
 
 @pytest.mark.parametrize("sites", [[(-1, 0, 0)], [(0, 1, 8)], [(0, 1)], []])

@@ -109,6 +109,8 @@ def test_que_trace_identity(medium_profile, rng):
     assert abs(t_res - np.sum(np.abs(im_g) ** 2)) <= 1e-8 * abs(t_res)
     with pytest.raises(ContractError):
         que_trace(ctx, TestDiagonal(np.zeros(8)), "resolvent")
+    with pytest.raises(ContractError, match="requires spec"):
+        que_trace(ctx, ones, "spectral")  # the context keeps no matrix to factor
     with pytest.raises(ParameterError):
         que_trace(ctx, ones, "bogus")
 
@@ -268,7 +270,7 @@ def _local_law_ratios_by_pair_index(ctx, props):
         (1, 101, 4.0),  # odd L
         (2, 8, 2.0),
         (3, 7, 2.0),
-        (1, 2053, 4.0),  # 2^18 // N = 127 rows a block: 17 blocks, the last partial
+        (1, 2053, 4.0),  # 2^16 // N = 31 rows a block: 67 blocks, the last partial
     ],
 )
 def test_local_law_ratios_match_pair_index_formulation(d, L, W):
@@ -285,7 +287,7 @@ def test_local_law_ratios_match_pair_index_formulation(d, L, W):
 
 def test_local_law_ratios_scans_g_in_bounded_row_blocks():
     # the distance gather and the |G|^2 temporaries of one row block, not of
-    # all of G: a quarter of an N x N complex buffer at N = 1024
+    # all of G: a sixteenth of an N x N complex buffer at N = 1024
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
     z = 0.2 + 0.3j
     props = PropagatorSet.build(prof, z)
