@@ -49,7 +49,6 @@ from .graphs import (
     second_order_graphs,
 )
 from .stats import (
-    StatReport,
     TestDiagonal,
     deloc_supnorm,
     gap_ratio_mean,
@@ -60,4 +59,4 @@ from .stats import (
     que_trace,
     semicircle_distance,
 )
-from .harness import EXPERIMENTS, ExperimentConfig, ResultRecord, rerun, run
+from .harness import EXPERIMENTS, ExperimentConfig, ResultRecord, StatReport, rerun, run

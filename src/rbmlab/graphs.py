@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedEdgeError,
     UnsupportedLabelError,
 )
+from .lattice import BLOCK_ENTRIES
 
 __all__ = [
     "EdgeKind",
@@ -413,7 +414,6 @@ def is_doubly_connected(g: AtomicGraph, cap: int = DC_EDGE_CAP):
     return False, None
 
 
-_EVAL_CHUNK = 1 << 16
 _PROPAGATOR_KERNELS = {
     EdgeKind.WAVED_PLUS: "s_plus_fft",
     EdgeKind.WAVED_MINUS: "s_minus_fft",
@@ -694,8 +694,8 @@ def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None
     prof = props.profile if props is not None else ctx.profile
     G = ctx.G
     acc = 0.0 + 0.0j
-    for start in range(0, total, _EVAL_CHUNK):
-        ids = np.arange(start, min(start + _EVAL_CHUNK, total), dtype=np.int64)
+    for start in range(0, total, BLOCK_ENTRIES):
+        ids = np.arange(start, min(start + BLOCK_ENTRIES, total), dtype=np.int64)
         sites = dict(bindings)
         for rank, atom_id in enumerate(internals):
             sites[atom_id] = (ids // (n ** (len(internals) - 1 - rank))) % n

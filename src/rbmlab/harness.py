@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .spectral import (
 )
 from .stats import (
     QUE_BOUND_MIN_DRAWS,
-    StatReport,
     box_indicator,
     deloc_supnorm,
     gap_ratio_mean,
@@ -67,7 +66,9 @@ from .tables import site_table, table_text, write_text
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
+    "Metric",
     "ResultRecord",
+    "StatReport",
     "cast_config",
     "run",
     "rerun",
@@ -103,6 +104,56 @@ class ExperimentConfig:
 
     def z(self, eta=None) -> complex:
         return complex(self.E, self.eta[0] if eta is None else eta)
+
+
+@dataclass(frozen=True)
+class Metric:
+    value: float
+    definition: str
+    n: int = 1
+    stderr: float | None = None
+
+
+@dataclass
+class StatReport:
+    """Named scalar metrics with definitions; optional row tables for CSV.
+    The experiments below are the only code that names and defines them."""
+
+    name: str
+    params: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # name -> (header, rows)
+
+    def add(self, name, value, definition, n=1, stderr=None):
+        self.metrics[name] = Metric(float(value), definition, int(n), stderr)
+
+    def __getitem__(self, name) -> float:
+        return self.metrics[name].value
+
+    def to_json(self) -> str:
+        payload = {
+            "name": self.name,
+            "params": self.params,
+            "metrics": {
+                k: {
+                    "value": m.value,
+                    "stderr": m.stderr,
+                    "n": m.n,
+                    "definition": m.definition,
+                }
+                for k, m in self.metrics.items()
+            },
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def csv_text(self) -> str:
+        """Metrics as CSV text, one row per metric in name order; commas in
+        a definition become semicolons, so no field is quoted."""
+        rows = [
+            [k, m.value, "" if m.stderr is None else m.stderr, m.n, m.definition.replace(",", ";")]
+            for k, m in sorted(self.metrics.items())
+        ]
+        return table_text(["metric", "value", "stderr", "n", "definition"], rows)
 
 
 @dataclass(frozen=True)
@@ -356,12 +407,7 @@ def _locallaw_draw(args):
     for eta, props in props_by_eta.items():
         ctx = resolvent(sample, props.z, prof, check=False)
         out["sentinel"] = max(out["sentinel"], ctx.ward_dev)
-        rep = local_law_ratios(ctx, props)
-        out[eta] = (
-            rep["max_offdiag_ratio"],
-            rep["max_diag_gap"],
-            rep.tables["ratio_shells"],
-        )
+        out[eta] = local_law_ratios(ctx, props)  # (max_diag_gap, shell_max)
         del ctx  # free this G before the next eta's inverse allocates its own
     return out
 
@@ -384,8 +430,8 @@ def _exp_locallaw(config, workers):
     etas = sorted(config.eta)
     maxima = []
     for eta in etas:
-        ratio = max(d[eta][0] for d in draws)
-        diag = max(d[eta][1] for d in draws)
+        ratio = max(d[eta][1].max() for d in draws)
+        diag = max(d[eta][0] for d in draws)
         maxima.append(ratio)
         report.add(
             f"max_offdiag_ratio_eta_{eta:g}",
@@ -412,8 +458,11 @@ def _exp_locallaw(config, workers):
         _SENTINEL_DEF,
         config.trials * len(etas),
     )
-    header, rows = draws[0][etas[-1]][2]
-    report.tables["ratio_shells_eta_max"] = (header, rows)
+    shell_max = draws[0][etas[-1]][1]  # shell_max[s - 1] is distance s
+    report.tables["ratio_shells_eta_max"] = (
+        ["distance", "max_ratio"],
+        [[s, v] for s, v in enumerate(shell_max, start=1)],
+    )
     return report
 
 
@@ -485,7 +534,7 @@ def _que_chunk(args):
         sample = sample_band(prof, config.seed, t)
         ctx = resolvent(sample, z, prof, check=False)
         sentinel = max(sentinel, ctx.ward_dev)
-        tr_res = traces[t - t0] = que_trace(ctx, pi, "resolvent")
+        tr_res = traces[t - t0] = que_trace(ctx, pi)
         del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
             spec = eigensolve(sample)
@@ -507,7 +556,7 @@ def _exp_que(config, workers):
     parts = _map_chunks(
         _que_chunk, [(config, pi, a, b) for a, b in _chunk_ranges(draws)], workers
     )
-    bound_rep = que_bound_ratio(np.concatenate([p[0] for p in parts]), prof, pi)
+    mean, se, bound = que_bound_ratio(np.concatenate([p[0] for p in parts]), prof, pi)
     report = StatReport("que", params=_params(config))
     report.add(
         "trace_rel_gap_max",
@@ -542,8 +591,12 @@ def _exp_que(config, workers):
         "max_bulk_supnorm / (W^-5 L^(5-d)); report-only: the bound is proved for d >= 7",
         config.trials,
     )
-    for k, met in bound_rep.metrics.items():
-        report.metrics[f"bound_{k}"] = met
+    report.add(
+        "bound_trace_mean_abs", mean, "E|trace((Im G) Pi (Im G) Pi)| estimate", draws, se
+    )
+    report.add("bound_bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)")
+    report.add("bound_ratio", mean / bound, "trace_mean_abs / bound_scale", draws)
+    report.add("bound_ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
     report.add("max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, draws)
     return report
 

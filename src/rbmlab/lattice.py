@@ -24,7 +24,9 @@ __all__ = [
     "row_blocks",
 ]
 
-BLOCK_ENTRIES = 1 << 16  # entries per row block of a scan over an N x N matrix
+# entries per block of a chunked scan: a row block of an N x N matrix, or a
+# chunk of the terms graphs.evaluate sums
+BLOCK_ENTRIES = 1 << 16
 
 
 def row_blocks(n: int) -> list:

@@ -111,7 +111,7 @@ def b_kernel(lat: TorusLattice, W: float) -> np.ndarray:
     return W ** (-2.0) * (lat.distance_fft + W) ** (2.0 - lat.d)
 
 
-def theta_bound_report(prof: VarianceProfile, z: complex, tau: float) -> dict:
+def theta_bound_report(prof: VarianceProfile, z: complex) -> dict:
     """Distance profile of |theta_circ| against the decay profile B.
 
     Informational only: the theoretical bound carries an arbitrary slack
@@ -130,7 +130,6 @@ def theta_bound_report(prof: VarianceProfile, z: complex, tau: float) -> dict:
     np.maximum.at(shell_theta, dist, tc)
     np.maximum.at(shell_b, dist, bk)
     return {
-        "tau": tau,
         "max_ratio": float(ratio.max()),
         "distances": shells,
         "theta_max": shell_theta,
@@ -173,6 +172,6 @@ def dense_s_plus(prof: VarianceProfile, z: complex) -> np.ndarray:
 
 def export_kernel_csv(prof: VarianceProfile, z: complex, path) -> None:
     """Shell-aggregated kernel report: distance, |theta_circ|, B, ratio."""
-    rep = theta_bound_report(prof, z, tau=0.0)
+    rep = theta_bound_report(prof, z)
     rows = zip(*(rep[k].tolist() for k in ("distances", "theta_max", "b_value", "shell_ratio")))
     write_table(path, ["distance", "abs_theta_circ", "b_profile", "ratio"], rows)

@@ -245,12 +245,18 @@ def _check_residual(h, z, G):
 def ward_residual(ctx: ResolventContext) -> float:
     """Max-norm residual of sum_x conj(G_xy') G_xy = (G_y'y - conj(G_yy'))/(2i eta).
 
-    The identity is exact, so the return value is round-off scale.
+    The identity is exact, so the return value is round-off scale.  Rows
+    of G^* G go in lattice.row_blocks, so beside G it holds no N x N
+    temporary.
     """
     G = ctx.G
-    lhs = G.conj().T @ G
-    rhs = (G - G.conj().T) / (2j * ctx.eta)
-    return float(np.max(np.abs(lhs - rhs)))
+    resid = 0.0
+    for r0, r1 in row_blocks(G.shape[0]):
+        gh = G[:, r0:r1].conj().T  # rows r0:r1 of G^*
+        r = gh @ G
+        r -= (G[r0:r1] - gh) / (2j * ctx.eta)
+        resid = max(resid, float(np.max(np.abs(r))))
+    return resid
 
 
 def _ward_check(G, eta, what):

@@ -7,9 +7,7 @@ sampling oracles inside the same run; no literature constants enter any
 assertion.
 """
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +22,9 @@ from .lattice import TorusLattice, row_blocks
 from .profile import VarianceProfile
 from .propagators import PropagatorSet, b_kernel
 from .spectral import ResolventContext, SpectralData
-from .tables import table_text
 
 __all__ = [
     "TestDiagonal",
-    "Metric",
-    "StatReport",
     "box_indicator",
     "random_trace_zero",
     "semicircle_cdf",
@@ -85,55 +80,6 @@ def random_trace_zero(lat: TorusLattice, rng: np.random.Generator) -> TestDiagon
     return TestDiagonal(v, trace_zero=True)
 
 
-@dataclass(frozen=True)
-class Metric:
-    value: float
-    definition: str
-    n: int = 1
-    stderr: Optional[float] = None
-
-
-@dataclass
-class StatReport:
-    """Named scalar metrics with definitions; optional row tables for CSV."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)  # name -> (header, rows)
-
-    def add(self, name, value, definition, n=1, stderr=None):
-        self.metrics[name] = Metric(float(value), definition, int(n), stderr)
-
-    def __getitem__(self, name) -> float:
-        return self.metrics[name].value
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "params": self.params,
-            "metrics": {
-                k: {
-                    "value": m.value,
-                    "stderr": m.stderr,
-                    "n": m.n,
-                    "definition": m.definition,
-                }
-                for k, m in self.metrics.items()
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def csv_text(self) -> str:
-        """Metrics as CSV text, one row per metric in name order; commas in
-        a definition become semicolons, so no field is quoted."""
-        rows = [
-            [k, m.value, "" if m.stderr is None else m.stderr, m.n, m.definition.replace(",", ";")]
-            for k, m in sorted(self.metrics.items())
-        ]
-        return table_text(["metric", "value", "stderr", "n", "definition"], rows)
-
-
 def semicircle_cdf(x) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
     return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
@@ -157,10 +103,12 @@ def semicircle_distance(spec) -> float:
     return float(np.max(np.maximum(np.abs(F - i / n), np.abs(F - (i - 1) / n))))
 
 
-def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
-    """Entrywise comparison of G against its deterministic approximation:
-    max_x |G_xx - m| and max_{x!=y} |G_xy|^2 / (B_xy + 1/(N eta)), plus the
-    distance-shell profile of the off-diagonal ratio."""
+def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> tuple:
+    """Entrywise comparison of G against its deterministic approximation.
+
+    Returns (max_diag_gap, shell_max): max_x |G_xx - m| and, for distances
+    1..max, the largest |G_xy|^2 / (B_xy + 1/(N eta)) at that distance, so
+    shell_max.max() is the largest off-diagonal ratio."""
     if abs(ctx.E) > 1.9:
         raise ParameterError(f"bulk statistic requires |E| <= 1.9, got {ctx.E}")
     lat = ctx.lattice
@@ -184,20 +132,7 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> StatReport:
     denom = np.empty(max_dist + 1)
     denom[dist] = b_kernel(lat, W)
     shell_max /= denom + 1.0 / (n * ctx.eta)
-
-    report = StatReport(
-        "local_law_ratios",
-        params={"z": str(ctx.z), "N": n, "W": W},
-    )
-    report.add("max_diag_gap", diag_gap, "max_x |G_xx - m(z)|")
-    report.add(
-        "max_offdiag_ratio", shell_max[1:].max(), "max_{x!=y} |G_xy|^2 / (B_xy + 1/(N eta))"
-    )
-    report.tables["ratio_shells"] = (
-        ["distance", "max_ratio"],
-        [[s, shell_max[s]] for s in range(1, max_dist + 1)],
-    )
-    return report
+    return diag_gap, shell_max[1:]
 
 
 def deloc_supnorm(spec: SpectralData, kappa: float) -> float:
@@ -214,42 +149,33 @@ def deloc_supnorm(spec: SpectralData, kappa: float) -> float:
     return float(np.max(np.abs(spec.eigenvectors[:, lo:hi]) ** 2))
 
 
-def _im_g(G: np.ndarray) -> np.ndarray:
-    return (G - G.conj().T) / 2j
+def que_trace(ctx: ResolventContext, pi: TestDiagonal) -> float:
+    """trace((Im G) Pi (Im G) Pi) = sum_xy |(Im G)_xy|^2 Pi_x Pi_y, as Im G
+    is Hermitian.  Rows of Im G go in lattice.row_blocks, so beside G it
+    holds no N x N temporary.
 
-
-def que_trace(
-    ctx: ResolventContext,
-    pi: TestDiagonal,
-    method: str = "resolvent",
-    spec: Optional[SpectralData] = None,
-) -> float:
-    """trace((Im G) Pi (Im G) Pi), by matrix products or by the spectral
-    double sum sum_{ab} eta^2 |<u_a, Pi u_b>|^2 / (|l_a-z|^2 |l_b-z|^2)
-    over spec, the eigendecomposition of the context's sample, which the
-    spectral method requires (the context does not keep the matrix).
-
-    The two methods are an exact identity and agree to round-off.
+    The spectral double sum over an eigendecomposition of the same sample,
+    overlap_bound_check's trace, is its oracle: an exact identity.
     """
-    if pi.values.shape != (ctx.N,):
+    n = ctx.N
+    if pi.values.shape != (n,):
         raise ContractError(
-            f"diagonal has {pi.values.shape}, sample has N={ctx.N}"
+            f"diagonal has {pi.values.shape}, sample has N={n}"
         )
-    if method == "resolvent":
-        M = _im_g(ctx.G) * pi.values[None, :]
-        return float(np.real(np.sum(M * M.T)))
-    if method == "spectral":
-        if spec is None:
-            raise ContractError("que_trace's spectral method requires spec")
-        w, M = _overlaps(spec, ctx.z, pi)
-        return float(w @ M @ w)
-    raise ParameterError(f"method must be 'resolvent' or 'spectral', got {method!r}")
+    G = ctx.G
+    total = 0.0
+    for r0, r1 in row_blocks(n):
+        im = G[r0:r1] - G[:, r0:r1].conj().T  # 2i times rows r0:r1 of Im G
+        total += pi.values[r0:r1] @ ((im.real**2 + im.imag**2) @ pi.values)
+    return float(total / 4.0)
 
 
-def que_bound_ratio(traces, prof: VarianceProfile, pi: TestDiagonal) -> StatReport:
+def que_bound_ratio(traces, prof: VarianceProfile, pi: TestDiagonal) -> tuple:
     """Mean of |trace((Im G) Pi (Im G) Pi)| over per-draw traces (que_trace
     of one resolvent each) against the scale
-    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|); flags ratios above 100."""
+    (sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|).
+
+    Returns (mean, stderr, bound_scale)."""
     if not pi.trace_zero or not np.any(pi.values):
         raise ContractError("que_bound_ratio requires a nonzero trace-zero diagonal")
     vals = np.abs(np.asarray(traces, dtype=float))
@@ -262,13 +188,7 @@ def que_bound_ratio(traces, prof: VarianceProfile, pi: TestDiagonal) -> StatRepo
     lat = prof.lattice
     pi_abs = np.abs(pi.values)
     bound = float(pi_abs.sum() * lat.convolve(b_kernel(lat, prof.W), pi_abs).max())
-
-    report = StatReport("que_bound_ratio", params={"trials": n, "N": lat.N})
-    report.add("trace_mean_abs", mean, "E|trace((Im G) Pi (Im G) Pi)| estimate", n, se)
-    report.add("bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)")
-    report.add("ratio", mean / bound, "trace_mean_abs / bound_scale", n)
-    report.add("ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
-    return report
+    return mean, se, bound
 
 
 def _overlaps(spec: SpectralData, z: complex, pi: TestDiagonal):
@@ -284,7 +204,8 @@ def overlap_bound_check(spec: SpectralData, z: complex, pi: TestDiagonal, l: flo
     """Deterministic per-realization inequality: the eigenvector-overlap
     mass in an energy window of half-width l is at most (4 l^4 / eta^2)
     trace((Im G) Pi (Im G) Pi).  Returns (lhs, rhs, holds, trace), where
-    trace equals que_trace(..., "spectral", spec=spec)."""
+    trace is the spectral double sum w M w of _overlaps, the oracle of
+    que_trace."""
     z = complex(z)
     eta = z.imag
     if l < eta:

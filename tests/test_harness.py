@@ -12,6 +12,7 @@ from rbmlab import cli, harness
 from rbmlab.errors import CapacityError, ValidationError
 from rbmlab.harness import (
     ExperimentConfig,
+    StatReport,
     load_manifest,
     parse_config_file,
     rerun,
@@ -23,7 +24,7 @@ from rbmlab.propagators import PropagatorSet
 from rbmlab.sampler import ou_evolve, sample_band
 from rbmlab.seeding import seed_substream, substream_rng
 from rbmlab.spectral import SpectralData, eigensolve, gue_eigenvalues, resolvent
-from rbmlab.stats import StatReport, box_indicator, gap_ratio_mean, local_law_ratios, que_trace
+from rbmlab.stats import box_indicator, gap_ratio_mean, local_law_ratios, que_trace
 
 
 def test_seed_substream_deterministic():
@@ -233,11 +234,18 @@ def test_locallaw_matches_per_draw_propagators():
         ratio = diag = 0.0
         for t in range(cfg.trials):
             ctx = resolvent(sample_band(prof, 8, t), cfg.z(eta), prof, check=False)
-            r = local_law_ratios(ctx, PropagatorSet.build(prof, ctx.z))
-            ratio = max(ratio, r["max_offdiag_ratio"])
-            diag = max(diag, r["max_diag_gap"])
+            gap, shell_max = local_law_ratios(ctx, PropagatorSet.build(prof, ctx.z))
+            ratio = max(ratio, shell_max.max())
+            diag = max(diag, gap)
         assert rep[f"max_offdiag_ratio_eta_{eta:g}"] == ratio
         assert rep[f"max_diag_gap_eta_{eta:g}"] == diag
+    # the shell table is draw 0's at the largest eta, one row per distance
+    z = cfg.z(max(cfg.eta))
+    ctx = resolvent(sample_band(prof, 8, 0), z, prof, check=False)
+    _, shell_max = local_law_ratios(ctx, PropagatorSet.build(prof, z))
+    header, rows = rep.tables["ratio_shells_eta_max"]
+    assert header == ["distance", "max_ratio"]
+    assert rows == [[s, v] for s, v in enumerate(shell_max, start=1)]
 
 
 def test_csv_format_output(tmp_path):

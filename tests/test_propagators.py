@@ -107,19 +107,19 @@ def test_b_kernel_matches_pointwise():
 
 def test_theta_bound_report():
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(3, 16))
-    rep = theta_bound_report(prof, 0.2 + 0.3j, tau=0.1)
+    rep = theta_bound_report(prof, 0.2 + 0.3j)
     assert np.isfinite(rep["max_ratio"])
     mf = mean_field_profile(TorusLattice(1, 16))
-    assert theta_bound_report(mf, 0.2 + 0.3j, tau=0.1)["max_ratio"] == 0.0
+    assert theta_bound_report(mf, 0.2 + 0.3j)["max_ratio"] == 0.0
     with pytest.raises(ParameterError):
-        theta_bound_report(prof, 1.95 + 0.3j, tau=0.1)
+        theta_bound_report(prof, 1.95 + 0.3j)
 
 
 @pytest.mark.parametrize("d,L,W", [(1, 33, 4.0), (2, 16, 2.0), (3, 8, 2.0)])
 def test_theta_bound_report_shells_match_per_shell_masks(d, L, W):
     prof = build_profile(get_shape("gaussian"), W, TorusLattice(d, L))
     z = 0.2 + 0.3j
-    rep = theta_bound_report(prof, z, tau=0.1)
+    rep = theta_bound_report(prof, z)
     tc = np.abs(theta_circ(prof, z)).ravel()
     bk = b_kernel(prof.lattice, W).ravel()
     dist = prof.lattice.distance_fft.ravel()
@@ -138,7 +138,7 @@ def test_theta_ratio_stable_under_doubling():
     ratios = []
     for L in (8, 16):
         prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(3, L))
-        ratios.append(theta_bound_report(prof, z, tau=0.1)["max_ratio"])
+        ratios.append(theta_bound_report(prof, z)["max_ratio"])
     assert ratios[1] < 10 * ratios[0]
 
 

@@ -72,3 +72,16 @@ def test_every_routine_is_reached_or_kept_on_purpose():
     }
     assert not unreached - _KEPT, f"called by no code in src: wire in or delete {sorted(unreached - _KEPT)}"
     assert not _KEPT - unreached, f"reached or gone, drop from _KEPT: {sorted(_KEPT - unreached)}"
+
+
+def test_only_harness_builds_stat_reports():
+    # statistics return numbers; harness alone names, defines and counts metrics
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(rbmlab.__file__).parent.glob("*.py")}
+    builders = {
+        mod
+        for mod, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) == "StatReport" or getattr(n.func, "attr", None) == "StatReport")
+    }
+    assert builders == {"harness"}, f"StatReport built outside harness: {sorted(builders - {'harness'})}"

@@ -157,6 +157,15 @@ def test_resolvent_peak_memory_is_one_and_an_eighth_inverses():
         assert peak <= 1.25 * 16 * n * n, (check, peak / (16 * n * n))
 
 
+def test_ward_residual_reads_g_in_bounded_row_blocks():
+    # rows of G^* G, G and G^* one block at a time: no N x N temporary
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
+    ctx = resolvent(sample_band(prof, 17, 0), 0.3 + 0.1j, prof, check=False)
+    n = ctx.N
+    peak = _traced_peak(lambda: ward_residual(ctx))
+    assert peak <= 0.5 * 16 * n * n, peak / (16 * n * n)
+
+
 def test_resolvent_context_lets_the_sample_go():
     # the context keeps G, the lattice and the provenance, not H
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))

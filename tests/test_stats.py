@@ -10,13 +10,13 @@ from rbmlab.errors import (
     ParameterError,
     WindowError,
 )
+from rbmlab.harness import StatReport
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.propagators import PropagatorSet, b_kernel
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
 from rbmlab.spectral import eigensolve, resolvent
 from rbmlab.stats import (
-    StatReport,
     TestDiagonal,
     box_indicator,
     deloc_supnorm,
@@ -98,21 +98,33 @@ def test_que_trace_identity(medium_profile, rng):
     spec = eigensolve(sample)
     ctx = resolvent(sample, z, medium_profile)
     pi = random_trace_zero(medium_profile.lattice, rng)
-    a = que_trace(ctx, pi, "resolvent")
-    b = que_trace(ctx, pi, "spectral", spec=spec)
+    a = que_trace(ctx, pi)
+    b = overlap_bound_check(spec, z, pi, l=z.imag)[3]  # the spectral double sum
     assert abs(a - b) <= 1e-8 * abs(a)
-    assert que_trace(ctx, TestDiagonal(np.zeros(32)), "resolvent") == 0.0
-    # all-ones diagonal: equals trace((Im G)^2) both ways
+    assert que_trace(ctx, TestDiagonal(np.zeros(32))) == 0.0
+    # all-ones diagonal: equals trace((Im G)^2)
     ones = TestDiagonal(np.ones(32))
-    t_res = que_trace(ctx, ones, "resolvent")
+    t_res = que_trace(ctx, ones)
     im_g = (ctx.G - ctx.G.conj().T) / 2j
     assert abs(t_res - np.sum(np.abs(im_g) ** 2)) <= 1e-8 * abs(t_res)
     with pytest.raises(ContractError):
-        que_trace(ctx, TestDiagonal(np.zeros(8)), "resolvent")
-    with pytest.raises(ContractError, match="requires spec"):
-        que_trace(ctx, ones, "spectral")  # the context keeps no matrix to factor
-    with pytest.raises(ParameterError):
-        que_trace(ctx, ones, "bogus")
+        que_trace(ctx, TestDiagonal(np.zeros(8)))
+
+
+def test_que_trace_reads_g_in_bounded_row_blocks():
+    # Im G is formed one row block at a time, not as a whole N x N matrix
+    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
+    z = 0.2 + 0.3j
+    ctx = resolvent(sample_band(prof, 65, 0), z, prof, check=False)
+    pi = box_indicator(prof.lattice, 16)
+    n = ctx.N
+    tracemalloc.start()
+    try:
+        que_trace(ctx, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_trace_zero_invariant():
@@ -143,9 +155,7 @@ def test_overlap_bound_examples(medium_profile, rng):
     lhs, rhs, holds, _ = overlap_bound_check(spec, z, TestDiagonal(np.zeros(32)), l=0.6)
     assert lhs == rhs == 0.0 and holds
     # l = eta specializes the constant to 4 eta^2 * trace
-    ctx = resolvent(sample_band(medium_profile, 41, 0), z, medium_profile)
-    lhs, rhs, _, _ = overlap_bound_check(spec, z, pi, l=z.imag)
-    tr = que_trace(ctx, pi, "spectral", spec=spec)
+    lhs, rhs, _, tr = overlap_bound_check(spec, z, pi, l=z.imag)
     assert rhs == pytest.approx(4 * z.imag**2 * tr, rel=1e-10)
     with pytest.raises(ParameterError):
         overlap_bound_check(spec, z, pi, l=0.1 * z.imag)
@@ -157,8 +167,14 @@ def test_overlap_bound_check_returns_the_spectral_trace(medium_profile, rng):
     spec = eigensolve(sample)
     ctx = resolvent(sample, z, medium_profile)
     pi = random_trace_zero(medium_profile.lattice, rng)
+    U = spec.eigenvectors
+    w = z.imag / (np.abs(spec.eigenvalues - z) ** 2)
+    M = np.abs(U.conj().T @ (pi.values[:, None] * U)) ** 2
+    tr = que_trace(ctx, pi)
     for l in (z.imag, 0.6):
-        assert overlap_bound_check(spec, z, pi, l=l)[3] == que_trace(ctx, pi, "spectral", spec=spec)
+        got = overlap_bound_check(spec, z, pi, l=l)[3]
+        assert got == float(w @ M @ w)
+        assert abs(got - tr) <= 1e-8 * abs(tr)
 
 
 def test_pgon_average(medium_profile):
@@ -219,7 +235,7 @@ def test_local_law_ratios_mean_field():
     gaps = []
     for t in range(20):
         ctx = resolvent(sample_band(prof, 61, t), z, prof, check=False)
-        gaps.append(local_law_ratios(ctx, props)["max_diag_gap"])
+        gaps.append(local_law_ratios(ctx, props)[0])
     assert np.median(gaps) <= 0.45
 
 
@@ -233,15 +249,14 @@ def test_local_law_ratios_large_eta():
     worst = max(
         local_law_ratios(
             resolvent(sample_band(prof, 62, t), z, prof, check=False), props
-        )["max_diag_gap"]
+        )[0]
         for t in range(3)
     )
     assert worst <= 0.2
     ctx = resolvent(sample_band(prof, 62, 0), z, prof, check=False)
-    rep = local_law_ratios(ctx, props)
-    assert np.isfinite(rep["max_offdiag_ratio"])
-    header, rows = rep.tables["ratio_shells"]
-    assert header == ["distance", "max_ratio"] and len(rows) == 128
+    _, shell_max = local_law_ratios(ctx, props)
+    assert np.isfinite(shell_max.max())
+    assert shell_max.shape == (128,)  # distances 1..128
     with pytest.raises(ParameterError):
         bad = resolvent(sample_band(prof, 62, 0), 1.95 + 0.5j, prof, check=False)
         local_law_ratios(bad, PropagatorSet.build(prof, 1.95 + 0.5j))
@@ -279,10 +294,10 @@ def test_local_law_ratios_match_pair_index_formulation(d, L, W):
     z = 0.2 + 0.3j
     props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, 63, 0), z, prof, check=False)
-    rep = local_law_ratios(ctx, props)
+    diag_gap, shell_max = local_law_ratios(ctx, props)
     metrics, shells = _local_law_ratios_by_pair_index(ctx, props)
-    assert {k: m.value for k, m in rep.metrics.items()} == metrics
-    assert rep.tables == {"ratio_shells": (["distance", "max_ratio"], shells)}
+    assert {"max_diag_gap": diag_gap, "max_offdiag_ratio": shell_max.max()} == metrics
+    assert [[s, v] for s, v in enumerate(shell_max, start=1)] == shells
 
 
 def test_local_law_ratios_scans_g_in_bounded_row_blocks():
@@ -315,19 +330,20 @@ def _bound_scale_by_displacement_field(prof, pi):
 
 def _que_traces(prof, pi, draws=20, seed=3, z=0.2 + 0.5j):
     return [
-        que_trace(resolvent(sample_band(prof, seed, t), z, prof), pi, "resolvent")
+        que_trace(resolvent(sample_band(prof, seed, t), z, prof), pi)
         for t in range(draws)
     ]
 
 
 def test_que_bound_ratio(small_profile):
     pi = box_indicator(small_profile.lattice, 4)
-    rep = que_bound_ratio(_que_traces(small_profile, pi), small_profile, pi)
-    assert np.isfinite(rep["ratio"]) and rep["ratio_flagged"] == 0.0
+    mean, _, bound = que_bound_ratio(_que_traces(small_profile, pi), small_profile, pi)
+    ratio = mean / bound
+    assert np.isfinite(ratio) and not ratio > 100.0  # not flagged
     # homogeneity: Pi -> 2 Pi leaves the ratio invariant
     pi2 = TestDiagonal(2 * pi.values, trace_zero=True)
-    rep2 = que_bound_ratio(_que_traces(small_profile, pi2), small_profile, pi2)
-    assert rep2["ratio"] == pytest.approx(rep["ratio"], rel=1e-12)
+    mean2, _, bound2 = que_bound_ratio(_que_traces(small_profile, pi2), small_profile, pi2)
+    assert mean2 / bound2 == pytest.approx(ratio, rel=1e-12)
     with pytest.raises(ContractError):
         que_bound_ratio([1.0] * 20, small_profile, TestDiagonal(np.zeros(8), trace_zero=True))
     with pytest.raises(InsufficientSamplesError):
@@ -336,8 +352,8 @@ def test_que_bound_ratio(small_profile):
     prof_2d = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 6))
     for prof, side in ((small_profile, 3), (prof_2d, 2)):
         pi = box_indicator(prof.lattice, side)
-        rep = que_bound_ratio(_que_traces(prof, pi), prof, pi)
-        assert rep["bound_scale"] == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
+        bound = que_bound_ratio(_que_traces(prof, pi), prof, pi)[2]
+        assert bound == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
 
 
 def test_stat_report_serialization(tmp_path):
