@@ -422,12 +422,6 @@ _PROPAGATOR_KERNELS = {
 _SCALAR_KINDS = (EdgeKind.FREE, EdgeKind.GHOST)
 
 
-def _need_profile(prof):
-    if prof is None:
-        raise ContractError("graph references the variance kernel; profile required")
-    return prof
-
-
 def _need_props(props):
     if props is None:
         raise ContractError("graph references propagator kernels; PropagatorSet required")
@@ -602,7 +596,8 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
     the two sites and cross-dotted edges give the inequality indicator
     (J - I); regular weights give G_xx (or conj), light weights G_xx - m
     (or conj).  P/Q labels and labeled-diffusive edges have no numerical
-    evaluator and raise.
+    evaluator and raise.  s_xy and W come from ctx.profile; only the
+    plus/minus and diffusive kernels need props, a PropagatorSet.
 
     A kernel edge into a summed index that only vectors also read is summed
     out by FFT convolution before the einsum.  The contraction is compiled
@@ -619,12 +614,8 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
             f"contraction cost {plan.cost} exceeds evaluation cap {EVAL_TERM_CAP}"
         )
 
-    prof = props.profile if props is not None else ctx.profile
-    for kind, _, _ in plan.factors:
-        if kind in (EdgeKind.WAVED, EdgeKind.GHOST):
-            _need_profile(prof)
-        elif kind in _PROPAGATOR_KERNELS:
-            _need_props(props)
+    if any(kind in _PROPAGATOR_KERNELS for kind, _, _ in plan.factors):
+        _need_props(props)
     scale = g.coeff.resolve(ctx.m, n, ctx.eta) * n**plan.n_bare
     if any(bindings[a] != bindings[b] for a, b in plan.tied):
         return 0j
@@ -637,7 +628,7 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
         if kind == EdgeKind.FREE:
             val = 1.0 / (n * ctx.eta)
         elif kind == EdgeKind.GHOST:
-            val = prof.W**2 / lat.L**2
+            val = ctx.profile.W**2 / lat.L**2
         elif kind in _G_KINDS:
             sa, sb = (slice(None) if s is None else s for s in sites)
             val = np.diagonal(G) if same else G[sa, sb]
@@ -645,7 +636,7 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
                 val = np.conj(val)
         elif kind in _KERNEL_KINDS:
             if kind == EdgeKind.WAVED:
-                kern = prof.kernel_fft
+                kern = ctx.profile.kernel_fft
             elif kind == EdgeKind.CROSS_DOTTED:
                 # J - I is the displacement kernel 1 - delta(x, 0)
                 kern = np.ones((lat.L,) * lat.d)
@@ -691,7 +682,6 @@ def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None
             f"N^#internal = {total} exceeds evaluation cap {EVAL_TERM_CAP}"
         )
 
-    prof = props.profile if props is not None else ctx.profile
     G = ctx.G
     acc = 0.0 + 0.0j
     for start in range(0, total, BLOCK_ENTRIES):
@@ -707,15 +697,14 @@ def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None
             elif e.kind == EdgeKind.G_RED:
                 val = val * np.conj(G[sa, sb])
             elif e.kind == EdgeKind.WAVED:
-                val = val * _need_profile(prof).kernel_flat[lat.diff_flat(sa, sb)]
+                val = val * ctx.profile.kernel_flat[lat.diff_flat(sa, sb)]
             elif e.kind in _PROPAGATOR_KERNELS:
                 kern = getattr(_need_props(props), _PROPAGATOR_KERNELS[e.kind])
                 val = val * kern.ravel()[lat.diff_flat(sa, sb)]
             elif e.kind == EdgeKind.FREE:
                 val = val * (1.0 / (n * ctx.eta))
             elif e.kind == EdgeKind.GHOST:
-                w_band = _need_profile(prof).W
-                val = val * (w_band**2 / lat.L**2)
+                val = val * (ctx.profile.W**2 / lat.L**2)
             elif e.kind == EdgeKind.DOTTED:
                 val = val * np.asarray(sa == sb, dtype=float)
             elif e.kind == EdgeKind.CROSS_DOTTED:

@@ -399,27 +399,25 @@ def _locallaw_draw(args):
     # per (draw, eta) the dense inverse is cheaper than one eigendecomposition
     # amortized over a short eta grid; the KS statistic needs eigenvalues
     # only once, computed without eigenvectors on draw 0
-    config, prof, props_by_eta, t = args
+    config, prof, t = args
     sample = sample_band(prof, config.seed, t)
     out = {"sentinel": 0.0}
     if t == 0:
         out["ks"] = semicircle_distance(eigenvalues(sample))
-    for eta, props in props_by_eta.items():
-        ctx = resolvent(sample, props.z, prof, check=False)
+    for eta in config.eta:
+        ctx = resolvent(sample, config.z(eta), prof, check=False)
         out["sentinel"] = max(out["sentinel"], ctx.ward_dev)
-        out[eta] = local_law_ratios(ctx, props)  # (max_diag_gap, shell_max)
+        out[eta] = local_law_ratios(ctx)  # (max_diag_gap, shell_max)
         del ctx  # free this G before the next eta's inverse allocates its own
     return out
 
 
 def _exp_locallaw(config, workers):
-    # the propagators depend on (profile, z) only: build them once per eta
+    # one task per draw, not _chunk_ranges: a few heavy draws would all land
+    # in one serial chunk
     prof = _profile_for(config)
-    props_by_eta = {eta: PropagatorSet.build(prof, config.z(eta)) for eta in config.eta}
     draws = _map_chunks(
-        _locallaw_draw,
-        [(config, prof, props_by_eta, t) for t in range(config.trials)],
-        workers,
+        _locallaw_draw, [(config, prof, t) for t in range(config.trials)], workers
     )
     report = StatReport("locallaw", params=_params(config))
     report.add(

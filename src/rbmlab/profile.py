@@ -13,7 +13,7 @@ stored in FFT layout (axis index = displacement/mode mod L).
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,26 +51,28 @@ def _gaussian(p: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.sum(np.square(p), axis=-1))
 
 
+@cache
 def _bump_axis_table(samples: int = 4001):
     # Self-convolution of chi(t) = exp(-1/(1-t^2)) on (-1, 1), normalized to
-    # peak 1.  Its Fourier transform is chi_hat^2 >= 0, so kernels built from
-    # (tensor products of) this shape are nonnegative after synthesis.
+    # peak 1, on s >= 0 (it is even).  Its Fourier transform is chi_hat^2 >= 0,
+    # so kernels built from (tensor products of) this shape are nonnegative
+    # after synthesis.  Computed on the first compact-bump kernel, not on import.
     t = np.linspace(-1.0, 1.0, samples)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         chi = np.where(np.abs(t) < 1.0, np.exp(-1.0 / np.maximum(1.0 - t * t, 1e-300)), 0.0)
     h = t[1] - t[0]
     conv = np.convolve(chi, chi) * h
     s = np.linspace(-2.0, 2.0, conv.size)
-    return s, conv / conv.max()
+    keep = s >= 0
+    return s[keep], (conv / conv.max())[keep]
 
 
-_BUMP_S, _BUMP_V = _bump_axis_table()
 _BUMP_SCALE = 2.0  # support per axis: |p| < 2 * _BUMP_SCALE
 
 
 def _bump(p: np.ndarray) -> np.ndarray:
     scaled = np.abs(np.asarray(p, dtype=float)) / _BUMP_SCALE
-    axis_vals = np.interp(scaled, _BUMP_S[_BUMP_S >= 0], _BUMP_V[_BUMP_S >= 0], right=0.0)
+    axis_vals = np.interp(scaled, *_bump_axis_table(), right=0.0)
     return np.prod(axis_vals, axis=-1)
 
 

@@ -10,6 +10,9 @@ Three dense routes, each for the callers that need no more than it gives:
   argument and writes G over it, with one workspace of about N^2 / 8
   entries beside it, so one resolvent peaks near 1.14 N^2 complex entries:
   the shifted copy of H that becomes G, and that workspace.  The context
+  (ResolventContext) holds z, G, the sample's provenance and the variance
+  profile of H, from which the T-variables, the local-law comparison B_xy
+  and the graph kernels are read; m(z) and the lattice are derived.  It
   keeps G but not H, so a caller that drops its sample holds G alone;
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
   semicircle distance); about half the cost of the full eigensystem;
@@ -41,12 +44,10 @@ evaluated on that stack by _second_order_batch.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    ContractError,
     HalfPlaneError,
     InsufficientSamplesError,
     NumericError,
@@ -92,16 +93,23 @@ def semicircle_m(z):
 
 @dataclass(frozen=True)
 class ResolventContext:
-    """z = E + i*eta, m(z), and the resolvent of one sample, with the
-    sample's lattice and provenance but not its matrix, which the caller
-    may free once G exists."""
+    """The resolvent G = (H - z)^{-1} of one sample at z = E + i*eta, with
+    the sample's provenance and the variance profile it was drawn from, but
+    not its matrix, which the caller may free once G exists.  The lattice
+    is the profile's, and m = m(z) follows from z."""
 
     z: complex
-    m: complex
     G: np.ndarray = field(repr=False)
-    lattice: TorusLattice
     provenance: Provenance
-    profile: Optional[VarianceProfile] = None
+    profile: VarianceProfile
+
+    @property
+    def lattice(self) -> TorusLattice:
+        return self.profile.lattice
+
+    @functools.cached_property
+    def m(self) -> complex:
+        return semicircle_m(self.z)
 
     @property
     def E(self) -> float:
@@ -132,19 +140,23 @@ class SpectralData:
 
 
 def resolvent(
-    sample: HermitianSample, z: complex, profile: Optional[VarianceProfile] = None,
-    check: bool = True,
+    sample: HermitianSample, z: complex, profile: VarianceProfile, check: bool = True,
 ) -> ResolventContext:
     """Dense inverse G = (H - z)^{-1} for Im z > 0, by _block_inv, always
-    checked by the Ward sentinel; check adds the O(N^3) residual test."""
+    checked by the Ward sentinel; check adds the O(N^3) residual test.
+    profile is the variance profile of H, on the sample's lattice."""
     z = complex(z)
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
+    if profile.lattice != sample.lattice:
+        raise ParameterError(
+            f"profile lattice {profile.lattice} differs from sample lattice {sample.lattice}"
+        )
     h = sample.matrix
     G = _block_inv(_shifted(h.astype(complex), z))
     if check:
         _check_residual(h, z, G)
-    ctx = ResolventContext(z, semicircle_m(z), G, sample.lattice, sample.provenance, profile)
+    ctx = ResolventContext(z, G, sample.provenance, profile)
     ctx.ward_dev  # raises NumericError on a wrong G
     return ctx
 
@@ -280,21 +292,14 @@ def _ward_check(G, eta, what):
     return dev
 
 
-def _require_profile(ctx):
-    if ctx.profile is None:
-        raise ContractError("operation requires a ResolventContext built with a profile")
-    return ctx.profile
-
-
 def t_three(ctx: ResolventContext, a: int, b1: int, b2: int) -> complex:
     """Three-subscript T-variable |m|^2 sum_x s_ax G_xb1 conj(G_xb2).
 
     Sites are linear indices in [0, N).
     """
-    prof = _require_profile(ctx)
     G = ctx.G
     mm = abs(ctx.m) ** 2
-    return complex(mm * np.dot(prof.s_row(a), G[:, b1] * G[:, b2].conj()))
+    return complex(mm * np.dot(ctx.profile.s_row(a), G[:, b1] * G[:, b2].conj()))
 
 
 def zero_mode_split(ctx: ResolventContext, a: int, b1: int, b2: int):
@@ -304,11 +309,10 @@ def zero_mode_split(ctx: ResolventContext, a: int, b1: int, b2: int):
     zero_mode = |m|^2 (G_b2b1 - conj(G_b1b2)) / (2i N eta); the sum of the
     two reproduces t_three exactly (up to round-off) by the Ward identity.
     """
-    prof = _require_profile(ctx)
     G = ctx.G
     n = ctx.N
     mm = abs(ctx.m) ** 2
-    s_centered = prof.s_row(a) - 1.0 / n
+    s_centered = ctx.profile.s_row(a) - 1.0 / n
     t_circ = mm * np.dot(s_centered, G[:, b1] * G[:, b2].conj())
     zm = mm * (G[b2, b1] - np.conj(G[b1, b2])) / (2j * n * ctx.eta)
     return complex(t_circ), complex(zm)
@@ -326,9 +330,8 @@ def second_order_terms(ctx: ResolventContext, theta_row_a: np.ndarray,
             + m sum_y s_xy (conj(G_xx) - conj(m)) G_yb1 conj(G_yb2).
     The residual T - leading - zero_mode - correction has mean zero.
     """
-    prof = _require_profile(ctx)
     T, lead, zm, corr = _second_order_batch(
-        ctx.G[None], ctx.m, ctx.eta, prof, [(a, b1, b2)], np.asarray(theta_row_a)[None]
+        ctx.G[None], ctx.m, ctx.eta, ctx.profile, [(a, b1, b2)], np.asarray(theta_row_a)[None]
     )
     return complex(T[0, 0]), complex(lead[0, 0]), complex(zm[0, 0]), complex(corr[0, 0])
 

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .lattice import TorusLattice, row_blocks
 from .profile import VarianceProfile
-from .propagators import PropagatorSet, b_kernel
+from .propagators import b_kernel
 from .spectral import ResolventContext, SpectralData
 
 __all__ = [
@@ -103,8 +103,9 @@ def semicircle_distance(spec) -> float:
     return float(np.max(np.maximum(np.abs(F - i / n), np.abs(F - (i - 1) / n))))
 
 
-def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> tuple:
-    """Entrywise comparison of G against its deterministic approximation.
+def local_law_ratios(ctx: ResolventContext) -> tuple:
+    """Entrywise comparison of G against its deterministic approximation,
+    with B_xy from the band width W of the context's profile.
 
     Returns (max_diag_gap, shell_max): max_x |G_xx - m| and, for distances
     1..max, the largest |G_xy|^2 / (B_xy + 1/(N eta)) at that distance, so
@@ -113,7 +114,7 @@ def local_law_ratios(ctx: ResolventContext, props: PropagatorSet) -> tuple:
         raise ParameterError(f"bulk statistic requires |E| <= 1.9, got {ctx.E}")
     lat = ctx.lattice
     n = ctx.N
-    W = props.profile.W
+    W = ctx.profile.W
     dist = lat.distance_fft
     G = ctx.G
 
@@ -259,8 +260,6 @@ def pgon_average(ctx: ResolventContext, sites, p: int, signs) -> tuple:
     for mat in mats[1:]:
         prod = prod @ mat
     value = complex(np.trace(prod) / sites.size**p)
-    if ctx.profile is None:
-        raise ContractError("pgon_average requires a context built with a profile")
     K = sites.size ** (1.0 / ctx.lattice.d)
     scale = g_comparison(K, ctx.profile.W, ctx.eta, ctx.lattice) ** (p - 1)
     return value, float(scale)

@@ -240,7 +240,7 @@ def test_evaluate_linearity_and_product(ctx_props):
 def test_evaluate_free_and_ghost_factors(ctx_props):
     ctx, props = ctx_props
     n, eta = ctx.N, ctx.eta
-    w_band = props.profile.W
+    w_band = ctx.profile.W
     g = AtomicGraph(ext(0, 1), (Edge(0, 1, EdgeKind.FREE), Edge(0, 1, EdgeKind.GHOST)))
     got = evaluate(g, ctx, props, {0: 0, 1: 1})
     assert abs(got - (1 / (n * eta)) * (w_band**2 / 8**2)) < 1e-15
@@ -275,14 +275,14 @@ def test_evaluate_errors(ctx_props):
     with pytest.raises(CapacityError):
         evaluate(clique, ctx, props, {0: 0})
     # a dotted edge between externals on different sites makes the value 0,
-    # but a missing kernel source still raises first
+    # but a missing PropagatorSet still raises first
     tied = AtomicGraph(
         ext(0, 1),
         (Edge(0, 1, EdgeKind.DOTTED), Edge(0, 1, EdgeKind.WAVED_PLUS), Edge(0, 1, EdgeKind.WAVED)),
     )
     assert evaluate(tied, ctx, props, {0: 0, 1: 1}) == 0
     with pytest.raises(ContractError, match="PropagatorSet"):
-        evaluate(tied, replace(ctx, profile=None), None, {0: 0, 1: 1})
+        evaluate(tied, ctx, None, {0: 0, 1: 1})
 
 
 def test_graph_cost_admits_what_brute_force_admits():
@@ -323,8 +323,10 @@ def _oracle_ctx(d, L):
     props = replace(props, s_plus_fft=props.s_plus_fft + 0.1 * noise)
     G_abs = np.abs(ctx.G)
     np.fill_diagonal(G_abs, np.abs(np.diagonal(ctx.G)) + abs(ctx.m))
+    ctx_mag = replace(ctx, G=G_abs)
+    ctx_mag.__dict__["m"] = 0j  # m derives from z; the bound wants m -> 0
     mag = (
-        replace(ctx, G=G_abs, m=0j),
+        ctx_mag,
         replace(
             props,
             theta_circ_fft=np.abs(props.theta_circ_fft),

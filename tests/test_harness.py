@@ -20,7 +20,6 @@ from rbmlab.harness import (
 )
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape
-from rbmlab.propagators import PropagatorSet
 from rbmlab.sampler import ou_evolve, sample_band
 from rbmlab.seeding import seed_substream, substream_rng
 from rbmlab.spectral import SpectralData, eigensolve, gue_eigenvalues, resolvent
@@ -225,8 +224,9 @@ def test_universality_experiment_with_flow():
     assert rec.report["gue_gap_ratio_mean"] == want
 
 
-def test_locallaw_matches_per_draw_propagators():
-    # propagators built once per eta give the metrics of building them per draw
+def test_locallaw_matches_per_draw_ratios():
+    # each metric is the max over draws of local_law_ratios of that draw's
+    # resolvent, computed here one draw and one eta at a time
     cfg = ExperimentConfig("locallaw", d=2, L=10, W=2.0, eta=(0.2, 0.6), trials=2, seed=8)
     rep = run(cfg).report
     prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 10))
@@ -234,7 +234,7 @@ def test_locallaw_matches_per_draw_propagators():
         ratio = diag = 0.0
         for t in range(cfg.trials):
             ctx = resolvent(sample_band(prof, 8, t), cfg.z(eta), prof, check=False)
-            gap, shell_max = local_law_ratios(ctx, PropagatorSet.build(prof, ctx.z))
+            gap, shell_max = local_law_ratios(ctx)
             ratio = max(ratio, shell_max.max())
             diag = max(diag, gap)
         assert rep[f"max_offdiag_ratio_eta_{eta:g}"] == ratio
@@ -242,7 +242,7 @@ def test_locallaw_matches_per_draw_propagators():
     # the shell table is draw 0's at the largest eta, one row per distance
     z = cfg.z(max(cfg.eta))
     ctx = resolvent(sample_band(prof, 8, 0), z, prof, check=False)
-    _, shell_max = local_law_ratios(ctx, PropagatorSet.build(prof, z))
+    _, shell_max = local_law_ratios(ctx)
     header, rows = rep.tables["ratio_shells_eta_max"]
     assert header == ["distance", "max_ratio"]
     assert rows == [[s, v] for s, v in enumerate(shell_max, start=1)]

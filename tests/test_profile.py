@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -82,6 +86,21 @@ def test_bump_profile_admissible():
     prof = build_profile(get_shape("compact-bump"), 2.0, TorusLattice(1, 16))
     assert prof.kernel_fft.min() >= 0.0
     assert abs(prof.kernel_fft.sum() - 1.0) < 1e-12
+
+
+def test_bump_table_is_built_on_first_use():
+    # only the compact-bump shape reads the table, so importing the package
+    # does not build it
+    code = (
+        "import numpy as np, rbmlab, rbmlab.profile as p\n"
+        "assert p._bump_axis_table.cache_info().currsize == 0\n"
+        "assert abs(p.get_shape('compact-bump').eval(np.zeros((1, 1)))[0] - 1.0) < 1e-12\n"
+        "assert p._bump_axis_table.cache_info().currsize == 1\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mean_field_profile():

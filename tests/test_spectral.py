@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -36,6 +37,12 @@ def _sample_from_matrix(mat):
     return HermitianSample(TorusLattice(1, mat.shape[0]), mat, Provenance(0, 0, 0.0, "fixed"))
 
 
+def _mean_field_resolvent(s, z):
+    # G does not depend on the profile, and the mean-field one fits any
+    # lattice: fixed matrices and GUE draws have no profile of their own
+    return resolvent(s, z, mean_field_profile(s.lattice))
+
+
 def test_semicircle_m_closed_form():
     m = semicircle_m(1j)
     assert abs(m - 1j * (np.sqrt(5) - 1) / 2) < 1e-14
@@ -60,10 +67,32 @@ def test_semicircle_m_branch_everywhere(rng):
 
 def test_resolvent_trivial_cases():
     z = 0.3 + 0.2j
-    ctx = resolvent(_sample_from_matrix([[0.7]]), z)
+    ctx = _mean_field_resolvent(_sample_from_matrix([[0.7]]), z)
     assert abs(ctx.G[0, 0] - 1.0 / (0.7 - z)) < 1e-14
-    ctx0 = resolvent(_sample_from_matrix(np.zeros((4, 4))), z)
+    ctx0 = _mean_field_resolvent(_sample_from_matrix(np.zeros((4, 4))), z)
     assert np.max(np.abs(ctx0.G + np.eye(4) / z)) < 1e-14
+
+
+def test_resolvent_context_stores_four_fields_and_derives_m_and_lattice(medium_profile):
+    ctx = resolvent(sample_band(medium_profile, 17, 0), 0.3 + 0.1j, medium_profile)
+    names = [f.name for f in dataclasses.fields(ResolventContext)]
+    assert names == ["z", "G", "provenance", "profile"]
+    assert ctx.m == semicircle_m(ctx.z)
+    assert ctx.lattice is medium_profile.lattice
+    assert ctx.N == 32
+
+
+def test_resolvent_rejects_a_profile_on_another_lattice():
+    # the context's lattice is the profile's, so a profile for another
+    # lattice would size every kernel lookup against the wrong N
+    prof64 = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 64))
+    prof32 = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 32))
+    s = sample_band(prof64, 20, 0)
+    with pytest.raises(ParameterError, match="lattice"):
+        resolvent(s, 0.3 + 0.1j, prof32)
+    with pytest.raises(ParameterError, match="lattice"):
+        resolvent(s, 0.3 + 0.1j, build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 8)))
+    assert resolvent(s, 0.3 + 0.1j, prof64).lattice == s.lattice
 
 
 def test_resolvent_residual(medium_profile):
@@ -81,7 +110,7 @@ def test_resolvent_matches_inverse_of_shifted_matrix(medium_profile):
     for s, z in cases:
         n = s.lattice.N
         want = np.linalg.inv(s.matrix - z * np.eye(n))
-        assert np.array_equal(resolvent(s, z).G, want)
+        assert np.array_equal(_mean_field_resolvent(s, z).G, want)
 
 
 @pytest.mark.parametrize("d,L", [(1, 129), (1, 300), (2, 16), (2, 23), (0, 333)])
@@ -98,7 +127,7 @@ def test_block_resolvent_matches_lapack_above_cutoff(d, L):
         for eta in (1e-3, 0.1, 1.0):
             z = complex(E, eta)
             a = s.matrix - z * np.eye(n)
-            G = resolvent(s, z).G  # check=True: the residual bound holds
+            G = _mean_field_resolvent(s, z).G  # check=True: the residual bound holds
             want = np.linalg.inv(a)
             gmax = np.max(np.abs(want))
             # either inverse is off by ~eps * cond(H - z) relative; at
@@ -167,7 +196,7 @@ def test_ward_residual_reads_g_in_bounded_row_blocks():
 
 
 def test_resolvent_context_lets_the_sample_go():
-    # the context keeps G, the lattice and the provenance, not H
+    # the context keeps G, the profile and the provenance, not H
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 200))
     s = sample_band(prof, 19, 0)
     ctx = resolvent(s, 0.3 + 0.1j, prof)
@@ -202,7 +231,7 @@ def test_ward_sentinel_accepts_resolvents_and_rejects_corruption():
     holed[0, 9] = np.nan
     for bad in (bumped, flipped, holed, G * (1.0 + 1e-4)):
         with pytest.raises(NumericError, match="Ward sentinel"):
-            ResolventContext(ctx.z, ctx.m, bad, ctx.lattice, ctx.provenance, prof).ward_dev
+            ResolventContext(ctx.z, bad, ctx.provenance, prof).ward_dev
 
 
 def test_resolvent_never_returns_a_g_that_fails_the_ward_sentinel(monkeypatch):
@@ -215,7 +244,7 @@ def test_resolvent_never_returns_a_g_that_fails_the_ward_sentinel(monkeypatch):
 
 def test_ward_identity_1x1_and_diagonal_case(medium_profile):
     z = 0.3 + 0.1j
-    ctx1 = resolvent(_sample_from_matrix([[0.4]]), z)
+    ctx1 = _mean_field_resolvent(_sample_from_matrix([[0.4]]), z)
     assert ward_residual(ctx1) < 1e-15
     ctx = resolvent(sample_band(medium_profile, 3, 1), z, medium_profile)
     assert ward_residual(ctx) <= 1e-9
@@ -242,9 +271,7 @@ def test_t_three_diagonal_cases(small_profile):
     assert val.imag == pytest.approx(0.0, abs=1e-15)
     assert val.real >= 0.0
     # H = 0: G = -I/z, so T_{a,b1b2} = |m|^2 s_ab1 delta_b1b2 / |z|^2
-    zero_ctx = ResolventContext(
-        z, ctx.m, -np.eye(8, dtype=complex) / z, ctx.lattice, ctx.provenance, small_profile
-    )
+    zero_ctx = ResolventContext(z, -np.eye(8, dtype=complex) / z, ctx.provenance, small_profile)
     S = small_profile.dense_matrix()
     mm = abs(ctx.m) ** 2
     assert abs(t_three(zero_ctx, 0, 2, 2) - mm * S[0, 2] / abs(z) ** 2) < 1e-14
@@ -484,7 +511,7 @@ def test_resolvent_from_spectrum_agreement():
     spec = eigensolve(s)
     U = spec.eigenvectors
     G_spec = (U / (spec.eigenvalues - z)) @ U.conj().T
-    G_direct = resolvent(s, z).G
+    G_direct = resolvent(s, z, prof).G
     assert np.max(np.abs(G_spec - G_direct)) <= 1e-8
     # Im G is positive semidefinite
     im_g = (G_spec - G_spec.conj().T) / 2j

@@ -13,7 +13,7 @@ from rbmlab.errors import (
 from rbmlab.harness import StatReport
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
-from rbmlab.propagators import PropagatorSet, b_kernel
+from rbmlab.propagators import b_kernel
 from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
 from rbmlab.spectral import eigensolve, resolvent
 from rbmlab.stats import (
@@ -231,11 +231,10 @@ def test_local_law_ratios_mean_field():
     lat = TorusLattice(1, 400)
     prof = mean_field_profile(lat)
     z = 0.0 + 0.1j
-    props = PropagatorSet.build(prof, z)
     gaps = []
     for t in range(20):
         ctx = resolvent(sample_band(prof, 61, t), z, prof, check=False)
-        gaps.append(local_law_ratios(ctx, props)[0])
+        gaps.append(local_law_ratios(ctx)[0])
     assert np.median(gaps) <= 0.45
 
 
@@ -245,28 +244,25 @@ def test_local_law_ratios_large_eta():
     lat = TorusLattice(1, 256)
     prof = build_profile(get_shape("gaussian"), 4.0, lat)
     z = 0.2 + 2.0j
-    props = PropagatorSet.build(prof, z)
     worst = max(
-        local_law_ratios(
-            resolvent(sample_band(prof, 62, t), z, prof, check=False), props
-        )[0]
+        local_law_ratios(resolvent(sample_band(prof, 62, t), z, prof, check=False))[0]
         for t in range(3)
     )
     assert worst <= 0.2
     ctx = resolvent(sample_band(prof, 62, 0), z, prof, check=False)
-    _, shell_max = local_law_ratios(ctx, props)
+    _, shell_max = local_law_ratios(ctx)
     assert np.isfinite(shell_max.max())
     assert shell_max.shape == (128,)  # distances 1..128
     with pytest.raises(ParameterError):
         bad = resolvent(sample_band(prof, 62, 0), 1.95 + 0.5j, prof, check=False)
-        local_law_ratios(bad, PropagatorSet.build(prof, 1.95 + 0.5j))
+        local_law_ratios(bad)
 
 
-def _local_law_ratios_by_pair_index(ctx, props):
+def _local_law_ratios_by_pair_index(ctx):
     """local_law_ratios as first written: every kernel entry looked up
     through the all-pairs displacement index."""
     lat, n = ctx.lattice, ctx.N
-    bker = b_kernel(lat, props.profile.W).ravel()
+    bker = b_kernel(lat, ctx.profile.W).ravel()
     dist = lat.distance_fft.ravel()
     idx = np.arange(n)
     flat = lat.diff_flat(idx[:, None], idx[None, :])
@@ -292,10 +288,9 @@ def test_local_law_ratios_match_pair_index_formulation(d, L, W):
     lat = TorusLattice(d, L)
     prof = build_profile(get_shape("gaussian"), W, lat)
     z = 0.2 + 0.3j
-    props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, 63, 0), z, prof, check=False)
-    diag_gap, shell_max = local_law_ratios(ctx, props)
-    metrics, shells = _local_law_ratios_by_pair_index(ctx, props)
+    diag_gap, shell_max = local_law_ratios(ctx)
+    metrics, shells = _local_law_ratios_by_pair_index(ctx)
     assert {"max_diag_gap": diag_gap, "max_offdiag_ratio": shell_max.max()} == metrics
     assert [[s, v] for s, v in enumerate(shell_max, start=1)] == shells
 
@@ -305,12 +300,11 @@ def test_local_law_ratios_scans_g_in_bounded_row_blocks():
     # all of G: a sixteenth of an N x N complex buffer at N = 1024
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(2, 32))
     z = 0.2 + 0.3j
-    props = PropagatorSet.build(prof, z)
     ctx = resolvent(sample_band(prof, 64, 0), z, prof, check=False)
     n = ctx.N
     tracemalloc.start()
     try:
-        local_law_ratios(ctx, props)
+        local_law_ratios(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
