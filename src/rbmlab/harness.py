@@ -14,12 +14,13 @@ chunk order.
 import dataclasses
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from .errors import CapacityError, NumericError, ValidationError, WindowError
 from .lattice import TorusLattice
 from .profile import (
@@ -398,17 +399,18 @@ def _exp_propcheck(config, workers):
 def _locallaw_draw(args):
     # per (draw, eta) the dense inverse is cheaper than one eigendecomposition
     # amortized over a short eta grid; the KS statistic needs eigenvalues
-    # only once, computed without eigenvectors on draw 0
+    # only once, computed without eigenvectors on draw 0.  Each
+    # factorization takes its own draw of trial t, which costs a fraction
+    # of an inverse, so H is never held beside G
     config, prof, t = args
-    sample = sample_band(prof, config.seed, t)
     out = {"sentinel": 0.0}
-    if t == 0:
-        out["ks"] = semicircle_distance(eigenvalues(sample))
     for eta in config.eta:
-        ctx = resolvent(sample, config.z(eta), prof, check=False)
+        ctx = resolvent(sample_band(prof, config.seed, t), config.z(eta), prof, check=False)
         out["sentinel"] = max(out["sentinel"], ctx.ward_dev)
         out[eta] = local_law_ratios(ctx)  # (max_diag_gap, shell_max)
-        del ctx  # free this G before the next eta's inverse allocates its own
+        del ctx  # free this G before the next draw allocates its H
+    if t == 0:
+        out["ks"] = semicircle_distance(eigenvalues(sample_band(prof, config.seed, t)))
     return out
 
 
@@ -474,7 +476,6 @@ def _gap_ratio_chunk(args):
         if config.flow_time > 0:
             sample = ou_evolve(sample, config.flow_time, prof, _aux_master(config.seed, 3), t)
         band.append(gap_ratio_mean(eigenvalues(sample), kappa=0.5))
-    del sample  # free the last band draw before the GUE draws allocate theirs
     gue = [
         gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=0.5)
         for t in range(t0, t1)
@@ -521,7 +522,8 @@ def _exp_universality(config, workers):
 def _que_chunk(args):
     # every draw's dense-inverse trace feeds the bound; the first trials are
     # also eigendecomposed, and G is not built from spec, so the overlap
-    # check's spectral trace checks one factorization against the other
+    # check's spectral trace checks one factorization against the other;
+    # each factorization takes its own draw of trial t
     config, pi, t0, t1 = args
     prof = _profile_for(config)
     z = config.z()
@@ -529,13 +531,12 @@ def _que_chunk(args):
     worst_rel = sentinel = supnorm = 0.0
     holds = 0
     for t in range(t0, t1):
-        sample = sample_band(prof, config.seed, t)
-        ctx = resolvent(sample, z, prof, check=False)
+        ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
         sentinel = max(sentinel, ctx.ward_dev)
         tr_res = traces[t - t0] = que_trace(ctx, pi)
         del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
-            spec = eigensolve(sample)
+            spec = eigensolve(sample_band(prof, config.seed, t))
             _, _, ok, tr_spec = overlap_bound_check(spec, z, pi, l=2 * z.imag)
             worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
             holds += ok
@@ -710,7 +711,12 @@ def _params(config: ExperimentConfig) -> dict:
 def _write_outputs(config: ExperimentConfig, report: StatReport):
     out = config.out
     os.makedirs(out, exist_ok=True)
-    manifest = {"config": dataclasses.asdict(config), "version": __version__, "seed": config.seed}
+    manifest = {
+        "config": dataclasses.asdict(config),
+        "version": __version__,
+        "seed": config.seed,
+        "blas": _lapack.blas_info(),  # reruns are bit-identical at this thread count
+    }
     write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True))
     if config.fmt == "json":
         write_text(os.path.join(out, "metrics.json"), report.to_json())
@@ -754,13 +760,29 @@ def _read_text(path, what: str) -> str:
 
 
 def load_manifest(path: str) -> ExperimentConfig:
+    """The config a manifest records, to rerun.  Prints one warning line on
+    stderr when the BLAS thread count the manifest records differs from the
+    current one: BLAS results, and so metrics, can differ in the last
+    digits between thread counts."""
     try:
-        raw = json.loads(_read_text(path, "manifest"))["config"]
+        manifest = json.loads(_read_text(path, "manifest"))
+        raw = manifest["config"]
     except (ValueError, TypeError, KeyError):
         raw = None
     if not isinstance(raw, dict):
         raise ValidationError(f"manifest {str(path)!r} is not JSON with a config object")
-    return cast_config(raw)
+    config = cast_config(raw)
+    recorded = manifest.get("blas")
+    if isinstance(recorded, dict):  # manifests written before the BLAS fields have none
+        current = _lapack.blas_info()
+        now = None if current is None else current["threads"]
+        if recorded.get("threads") != now:
+            print(
+                f"warning: the manifest records {recorded.get('threads')} BLAS threads, this "
+                f"run has {now}; metrics may differ from the recorded ones in the last digits",
+                file=sys.stderr,
+            )
+    return config
 
 
 def rerun(manifest_path: str, out: str | None = None, workers: int = 1) -> ResultRecord:

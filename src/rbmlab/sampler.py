@@ -8,15 +8,19 @@ upper-triangle pairs, then the imaginary parts, then the diagonal).  It is
 drawn in row blocks of the matrix, and consecutive draws continue the
 stream, so the block size does not change a sample.  Samples are therefore
 bit-reproducible regardless of scheduling.
+
+A sample hands its matrix over once (HermitianSample.take): every dense
+step that consumes a draw (spectral.resolvent, eigenvalues, eigensolve and
+ou_evolve) works in the sample's own buffer, so no caller holds H beside
+what is computed from it.  A caller that needs H twice draws it again.
 """
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 from .lattice import TorusLattice, row_blocks
 from .profile import VarianceProfile, mean_field_profile
 from .seeding import substream_rng
@@ -28,12 +32,7 @@ __all__ = [
     "sample_band_batch",
     "ou_evolve",
     "sample_gue",
-    "dump_sample",
-    "load_sample",
 ]
-
-_MAGIC = b"RBM1"
-_HEADER = struct.Struct("<4sIIdd4x")  # magic, d, L, W, flow time, 4 pad bytes
 
 
 @dataclass(frozen=True)
@@ -44,13 +43,34 @@ class Provenance:
     profile_id: str
 
 
-@dataclass(frozen=True)
 class HermitianSample:
-    """One realization H with enough provenance to regenerate it."""
+    """One realization H with enough provenance to regenerate it.
 
-    lattice: TorusLattice
-    matrix: np.ndarray
-    provenance: Provenance
+    The sample owns its matrix, a C-order complex (N, N) array, until a
+    dense step takes it (take()); that step may overwrite it.  After that,
+    reading .matrix or taking it again raises ContractError.
+    """
+
+    __slots__ = ("lattice", "provenance", "_matrix")
+
+    def __init__(self, lattice: TorusLattice, matrix, provenance: Provenance):
+        self.lattice = lattice
+        self.provenance = provenance
+        self._matrix = np.ascontiguousarray(matrix, dtype=complex)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            raise ContractError(
+                f"sample {self.provenance} was taken by a dense step; draw it again to reuse it"
+            )
+        return self._matrix
+
+    def take(self) -> np.ndarray:
+        """The matrix, handed over: the sample holds it no longer."""
+        h = self.matrix
+        self._matrix = None
+        return h
 
 
 @functools.lru_cache(maxsize=16)
@@ -86,16 +106,20 @@ def _pair_sigma(prof):
     return np.sqrt(np.divide(sig, 2.0, out=sig), out=sig)
 
 
-def _draw(seed, t0, t1, n, sigma, diag_var):
-    """The (t1 - t0, n, n) stack of the Hermitian draws of trials [t0, t1).
+def _draw(seed, t0, out, sigma, diag_var):
+    """Add the Hermitian draws of trials [t0, t0 + B) into the (B, n, n)
+    C-order complex stack out, which must be Hermitian itself.
 
     Each trial's n(n-1) + n normals come in the canonical order, drawn in
     row blocks (lattice.row_blocks) into one reused buffer: the real parts
     block by block over the strict upper triangle, then the imaginary
     parts, then the diagonal.  They are scaled by sigma (a scalar, or
-    _pair_sigma's vector) and by sqrt(diag_var) on the diagonal.  Beside
-    the stack, only block-sized buffers are live.
+    _pair_sigma's vector) and by sqrt(diag_var) on the diagonal, and added
+    to the upper triangle and the diagonal; the lower triangle is then the
+    adjoint of the upper.  Beside the stack, only block-sized buffers are
+    live.
     """
+    n = out.shape[-1]
     offs, layout, tile_lower = _layout(n)
     buf = np.empty(max([n] + [offs[r1] - offs[r0] for r0, r1, _ in layout]))
     # per row block: its rows and upper mask, the share of buf its normals
@@ -106,16 +130,17 @@ def _draw(seed, t0, t1, n, sigma, diag_var):
          tile_lower[: r1 - r0, : r1 - r0])
         for r0, r1, upper in layout
     ]
-    out = np.zeros((t1 - t0, n, n), dtype=complex)  # the diagonal stays real
-    diagonals = out.reshape(t1 - t0, n * n)[:, :: n + 1].real
+    diagonals = out.reshape(out.shape[0], n * n, copy=False)[:, :: n + 1].real
     sig_diag = np.sqrt(diag_var)
-    for t, h, diagonal in zip(range(t0, t1), out, diagonals):
+    for t, h, diagonal in zip(range(t0, t0 + out.shape[0]), out, diagonals):
         rng = substream_rng(seed, t)
         for part in (h.real, h.imag):
             for r0, r1, upper, v, scale, _ in blocks:
                 rng.standard_normal(out=v)  # continues the trial's one stream
                 v *= scale
-                part[r0:r1][upper] = v
+                rows = part[r0:r1]
+                v += rows[upper]
+                rows[upper] = v
         for r0, r1, _, _, _, low in blocks:
             # rows [r0, r1) below the diagonal: the adjoint of the upper
             # entries in columns [r0, r1), then of the tile on the diagonal
@@ -124,14 +149,17 @@ def _draw(seed, t0, t1, n, sigma, diag_var):
             tile = h[r0:r1, r0:r1]
             tile[low] = np.conjugate(tile.T[low])
         rng.standard_normal(out=buf[:n])
-        np.multiply(buf[:n], sig_diag, out=diagonal)
+        buf[:n] *= sig_diag
+        diagonal += buf[:n]
     return out
 
 
 def sample_band_batch(prof: VarianceProfile, seed: int, t0: int, t1: int) -> np.ndarray:
     """The (t1 - t0, N, N) stack of sample_band(prof, seed, t).matrix over
     trials t in [t0, t1); the pair variances are gathered once per call."""
-    return _draw(seed, t0, t1, prof.lattice.N, _pair_sigma(prof), prof.kernel_flat[0])
+    n = prof.lattice.N
+    out = np.zeros((t1 - t0, n, n), dtype=complex)  # the diagonal stays real
+    return _draw(seed, t0, out, _pair_sigma(prof), prof.kernel_flat[0])
 
 
 def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample:
@@ -151,7 +179,9 @@ def ou_evolve(
 
     H_t = exp(-t/2) H_0 + Xi_t with Xi_t an independent Hermitian Gaussian
     of entry variance (1 - exp(-t))/N, so E|h_xy(t)|^2 equals
-    exp(-t) s_xy + (1 - exp(-t))/N.  Exact; no time-stepping error.
+    exp(-t) s_xy + (1 - exp(-t))/N.  Exact; no time-stepping error.  Takes
+    h0's matrix and returns H_t in that buffer: exp(-t/2) H_0 with Xi_t's
+    normals added by _draw.
     """
     if t < 0:
         raise ParameterError(f"flow time must be nonnegative, got {t}")
@@ -159,11 +189,10 @@ def ou_evolve(
     p = h0.provenance
     prov = Provenance(p.seed, p.trial, p.flow_time + t, p.profile_id)
     var = (1.0 - np.exp(-t)) / lat.N
-    xi = _draw(seed, trial, trial + 1, lat.N, np.sqrt(var / 2.0), var)[0]
-    decay = np.exp(-t / 2.0)
-    for r0, r1 in row_blocks(lat.N):  # no N x N temporary beside H_0 and Xi_t
-        xi[r0:r1] += decay * h0.matrix[r0:r1]
-    return HermitianSample(lat, xi, prov)
+    h = h0.take()
+    h *= np.exp(-t / 2.0)
+    _draw(seed, trial, h[None], np.sqrt(var / 2.0), var)
+    return HermitianSample(lat, h, prov)
 
 
 def sample_gue(n: int, seed: int, trial: int) -> HermitianSample:
@@ -173,26 +202,3 @@ def sample_gue(n: int, seed: int, trial: int) -> HermitianSample:
     if n < 2:
         raise ParameterError(f"GUE dimension must be >= 2, got {n}")
     return sample_band(mean_field_profile(TorusLattice(1, n)), seed, trial)
-
-
-def dump_sample(sample: HermitianSample, path, W: float) -> None:
-    """Binary dump: 32-byte header (magic 'RBM1', d, L, W, flow time),
-    then the matrix as little-endian complex64, row-major."""
-    lat = sample.lattice
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, lat.d, lat.L, float(W), sample.provenance.flow_time))
-        fh.write(np.ascontiguousarray(sample.matrix.astype("<c8")).tobytes())
-
-
-def load_sample(path):
-    """Read a dump_sample file; returns (matrix, header dict)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise ParameterError(f"{path} does not start with a {_HEADER.size}-byte {_MAGIC!r} header")
-    _, d, L, W, t = _HEADER.unpack_from(raw)
-    # the first test bounds L**d before it is formed
-    if d * np.log2(max(L, 1)) > 64 or len(raw) != _HEADER.size + 8 * (L**d) ** 2:
-        raise ParameterError(f"{path}: payload is not the 8 N^2 bytes of N = {L}^{d}")
-    data = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size).reshape(L**d, L**d)
-    return data, {"d": d, "L": L, "W": W, "flow_time": t}

@@ -9,15 +9,20 @@ Three dense routes, each for the callers that need no more than it gives:
   4/3 N^3 for an LU solve against the identity).  _block_inv consumes its
   argument and writes G over it, with one workspace of about N^2 / 8
   entries beside it, so one resolvent peaks near 1.14 N^2 complex entries:
-  the shifted copy of H that becomes G, and that workspace.  The context
-  (ResolventContext) holds z, G, the sample's provenance and the variance
-  profile of H, from which the T-variables, the local-law comparison B_xy
-  and the graph kernels are read; m(z) and the lattice are derived.  It
-  keeps G but not H, so a caller that drops its sample holds G alone;
+  the sample's own buffer, shifted in place, that becomes G, and that
+  workspace.  The context (ResolventContext) holds z, G, the sample's
+  provenance and the variance profile of H, from which the T-variables,
+  the local-law comparison B_xy and the graph kernels are read; m(z) and
+  the lattice are derived;
 - eigenvalues: the spectrum alone, with no eigenvectors (gap ratios,
-  semicircle distance); about half the cost of the full eigensystem;
+  semicircle distance); about half the cost of the full eigensystem.
+  LAPACK's zheevd runs in the sample's own buffer (_lapack);
 - eigensolve: eigenvalues and eigenvectors (QUE traces, overlap bounds,
-  delocalization).
+  delocalization), by numpy's eigh, which copies H.
+
+Each of the three takes the sample's matrix (HermitianSample.take), so the
+sample holds no matrix afterwards and a second use raises ContractError:
+no route holds H beside G, beside LAPACK's copy of H, or beside H_t.
 
 The GUE oracle of the universality comparison is read only through its
 eigenvalue law, so gue_eigenvalues draws that law directly from the beta=2
@@ -47,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     HalfPlaneError,
     InsufficientSamplesError,
@@ -144,7 +150,9 @@ def resolvent(
 ) -> ResolventContext:
     """Dense inverse G = (H - z)^{-1} for Im z > 0, by _block_inv, always
     checked by the Ward sentinel; check adds the O(N^3) residual test.
-    profile is the variance profile of H, on the sample's lattice."""
+    profile is the variance profile of H, on the sample's lattice.  Takes
+    the sample's matrix and writes G over it; check keeps a copy of H for
+    the residual test alone."""
     z = complex(z)
     if z.imag <= 0:
         raise HalfPlaneError("resolvent requires Im z > 0")
@@ -152,8 +160,9 @@ def resolvent(
         raise ParameterError(
             f"profile lattice {profile.lattice} differs from sample lattice {sample.lattice}"
         )
-    h = sample.matrix
-    G = _block_inv(_shifted(h.astype(complex), z))
+    a = sample.take()
+    h = a.copy() if check else None
+    G = _block_inv(_shifted(a, z))
     if check:
         _check_residual(h, z, G)
     ctx = ResolventContext(z, G, sample.provenance, profile)
@@ -163,7 +172,7 @@ def resolvent(
 
 def _shifted(a, z):
     """a, one complex matrix or a stack (..., N, N), with z subtracted on
-    each diagonal in place: H - z.  Callers that keep H pass a copy."""
+    each diagonal in place: H - z."""
     idx = np.arange(a.shape[-1])
     a[..., idx, idx] -= z
     return a
@@ -449,8 +458,10 @@ def _residual_chunk(args):
 
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian sample, without eigenvectors."""
-    return _eigvalsh(sample.matrix, f"sample {sample.provenance}")
+    """Ascending eigenvalues of a Hermitian sample, without eigenvectors.
+    Takes the sample's matrix: zheevd overwrites it."""
+    what = f"sample {sample.provenance}"
+    return _eigvalsh(_lapack.hermitian_eigvalsh, sample.take(), what)
 
 
 def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
@@ -476,26 +487,40 @@ def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
     t = np.diag(diag)
     t.flat[1 :: n + 1] = off  # superdiagonal
     t.flat[n :: n + 1] = off  # subdiagonal
-    return _eigvalsh(t, f"GUE tridiagonal model (n={n}, seed={seed}, trial={trial})")
+    what = f"GUE tridiagonal model (n={n}, seed={seed}, trial={trial})"
+    return _eigvalsh(np.linalg.eigvalsh, t, what)
 
 
 def eigensolve(sample: HermitianSample) -> SpectralData:
-    """Dense Hermitian eigendecomposition, eigenvalues ascending."""
+    """Dense Hermitian eigendecomposition, eigenvalues ascending.  Takes
+    the sample's matrix, which eigh copies; the taken matrix is freed when
+    eigensolve returns."""
+    what = f"sample {sample.provenance}"
+    h = sample.take()
+    _finite_entries(h, what)
     try:
-        w, v = np.linalg.eigh(sample.matrix)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"eigendecomposition failed for sample {sample.provenance}"
-        ) from exc
-    return SpectralData(_finite(w, f"sample {sample.provenance}"), v)
+        raise NumericError(f"eigendecomposition failed for {what}") from exc
+    return SpectralData(_finite(w, what), v)
 
 
-def _eigvalsh(a, what):
+def _eigvalsh(solve, a, what):
+    _finite_entries(a, what)
     try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalues failed for {what}") from exc
+        w = solve(a)
+    except (np.linalg.LinAlgError, NumericError) as exc:
+        raise NumericError(f"eigenvalues failed for {what}: {exc}") from exc
     return _finite(w, what)
+
+
+def _finite_entries(a, what):
+    """Raise unless every entry of a is finite, checked in row blocks: for
+    some non-finite inputs LAPACK returns finite eigenvalues (zheevd at
+    N = 2 with a NaN on the diagonal)."""
+    for r0, r1 in row_blocks(a.shape[0]):
+        if not np.all(np.isfinite(a[r0:r1])):
+            raise NumericError(f"non-finite matrix entries in {what}")
 
 
 def _finite(w, what):

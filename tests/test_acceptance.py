@@ -242,9 +242,9 @@ def test_criterion_07_que_trace_identity():
     rng = np.random.default_rng(SEED + 6)
     worst = 0.0
     for t in range(50):
-        sample = sample_band(prof, SEED + 6, t)
-        spec = eigensolve(sample)
-        ctx = resolvent(sample, z, prof, check=False)
+        # each factorization takes its own draw of trial t
+        spec = eigensolve(sample_band(prof, SEED + 6, t))
+        ctx = resolvent(sample_band(prof, SEED + 6, t), z, prof, check=False)
         pi = random_trace_zero(lat, rng)
         a = que_trace(ctx, pi)
         lhs, rhs, holds, b = overlap_bound_check(spec, z, pi, l=2 * z.imag)
@@ -265,12 +265,16 @@ def test_criterion_08_ou_flow_law():
     acc = {t: np.zeros((n, n)) for t in times}
     acc2 = {t: np.zeros((n, n)) for t in times}
     for c0 in range(0, trials, chunk):
-        h0s = [
-            HermitianSample(lat, h, Provenance(SEED + 7, trial, 0.0, prof.profile_id))
-            for trial, h in enumerate(sample_band_batch(prof, SEED + 7, c0, c0 + chunk), c0)
-        ]
+        h0s = sample_band_batch(prof, SEED + 7, c0, c0 + chunk)
         for t in times:
-            hts = [ou_evolve(h0, t, prof, SEED + 8, h0.provenance.trial).matrix for h0 in h0s]
+            # ou_evolve takes the sample it flows, so each time flows a copy
+            hts = [
+                ou_evolve(
+                    HermitianSample(lat, h.copy(), Provenance(SEED + 7, trial, 0.0, prof.profile_id)),
+                    t, prof, SEED + 8, trial,
+                ).matrix
+                for trial, h in enumerate(h0s, c0)
+            ]
             sq = np.abs(hts) ** 2
             acc[t] += sq.sum(axis=0)
             acc2[t] += (sq**2).sum(axis=0)
@@ -282,8 +286,8 @@ def test_criterion_08_ou_flow_law():
         zmat = np.abs(mean - target) / se
         assert np.max(zmat) <= 4.0, (t, np.max(zmat))
         worst = max(worst, float(np.max(zmat)))
-    h0 = sample_band(prof, SEED + 7, 0)
-    assert np.array_equal(ou_evolve(h0, 0.0, prof, SEED + 8, 0).matrix, h0.matrix)
+    h0 = sample_band(prof, SEED + 7, 0).matrix
+    assert np.array_equal(ou_evolve(sample_band(prof, SEED + 7, 0), 0.0, prof, SEED + 8, 0).matrix, h0)
     _report(8, f"OU entry-variance law at t in {times}, 1e5 trials; worst |z| = {worst:.2f}; t=0 exact")
 
 

@@ -4,11 +4,12 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rbmlab import cli, harness
+from rbmlab import _lapack, cli, harness
 from rbmlab.errors import CapacityError, ValidationError
 from rbmlab.harness import (
     ExperimentConfig,
@@ -113,6 +114,48 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest["seed"] == 11 and manifest["version"] == record.version
     assert (out / "metrics.json").exists()
     assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+
+def test_manifest_records_the_blas_conditions(tmp_path, monkeypatch, capsys):
+    cfg = ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=2, seed=4, out=str(tmp_path / "a"))
+    rec = run(cfg)
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    recorded = manifest["blas"]
+    assert recorded == _lapack.blas_info()
+    assert recorded["library"].startswith("libscipy_openblas64_") and recorded["threads"] >= 1
+    assert rerun(tmp_path / "a" / "manifest.json").report.to_json() == rec.report.to_json()
+    assert "warning:" not in capsys.readouterr().err
+    # another thread count at rerun time: one warning line
+    with monkeypatch.context() as m:
+        m.setattr(_lapack, "blas_info", lambda: {**recorded, "threads": recorded["threads"] + 1})
+        assert cli.main(["rerun", "--manifest", str(tmp_path / "a" / "manifest.json")]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and f"records {recorded['threads']} BLAS threads" in warnings[0]
+    # without the bundled OpenBLAS the manifest records null; a manifest
+    # without the field (written before it existed) reruns without a warning
+    monkeypatch.setattr(_lapack, "_library", lambda: None)
+    run(dataclasses.replace(cfg, out=str(tmp_path / "b")))
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["blas"] is None
+    del manifest["blas"]
+    (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+    rerun(tmp_path / "b" / "manifest.json")
+    assert "warning:" not in capsys.readouterr().err
+
+
+def test_locallaw_draw_never_holds_h_beside_g():
+    # each factorization takes its own draw: the peak is the draw (H and
+    # the pair scales, 1.31 N^2 complex entries), not H beside G (2.2 N^2)
+    cfg = ExperimentConfig("locallaw", d=2, L=32, W=4.0, eta=(0.1, 0.3, 1.0), trials=1, seed=3)
+    prof = harness._profile_for(cfg)
+    n = prof.lattice.N
+    tracemalloc.start()
+    try:
+        harness._locallaw_draw((cfg, prof, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_rerun_bit_for_bit(tmp_path):

@@ -25,8 +25,6 @@ _KEPT = {
     # documented file formats (README, "File formats")
     ("graphs", "serialize_graph"),
     ("graphs", "parse_graph"),
-    ("sampler", "dump_sample"),
-    ("sampler", "load_sample"),
     # the profile and propagator CSV exports
     ("profile", "export_kernel_csv"),
     ("profile", "export_symbol_csv"),

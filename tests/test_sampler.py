@@ -4,12 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbmlab.errors import ParameterError
+from rbmlab.errors import ContractError, ParameterError
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.sampler import (
-    dump_sample,
-    load_sample,
     ou_evolve,
     sample_band,
     sample_band_batch,
@@ -60,7 +58,8 @@ def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
             var = (1.0 - np.exp(-t)) / n
             xi = _hermitian_by_symmetrizing(substream_rng(seed + 1, trial), n, var, var)
             want = np.exp(-t / 2.0) * h.matrix + xi
-            assert np.array_equal(ou_evolve(h, t, prof, seed + 1, trial).matrix, want)
+            flowed = ou_evolve(sample_band(prof, seed, trial), t, prof, seed + 1, trial)
+            assert np.array_equal(flowed.matrix, want)
         gue = sample_gue(n, seed, trial)
         want = _reference_band(mean_field_profile(TorusLattice(1, n)), seed, trial)
         assert np.array_equal(gue.matrix, want)
@@ -120,11 +119,15 @@ def test_entry_variance_moment_oracle(small_profile):
 
 def test_ou_t0_exact(small_profile):
     h0 = sample_band(small_profile, 1, 0)
+    buffer = h0.matrix
     ht = ou_evolve(h0, 0.0, small_profile, 2, 0)
-    assert np.array_equal(ht.matrix, h0.matrix)
+    assert np.array_equal(ht.matrix, sample_band(small_profile, 1, 0).matrix)
+    assert ht.matrix is buffer  # H_t is written over H_0
     assert ht.provenance.flow_time == 0.0
+    with pytest.raises(ContractError):
+        h0.matrix
     with pytest.raises(ParameterError):
-        ou_evolve(h0, -0.1, small_profile, 2, 0)
+        ou_evolve(sample_band(small_profile, 1, 0), -0.1, small_profile, 2, 0)
 
 
 def test_ou_long_time_mean_field_limit(small_profile):
@@ -193,18 +196,3 @@ def test_gue_moment_oracle():
         vals[t] = np.abs(sample_gue(n, 7, t).matrix[0, 3]) ** 2
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 1.0 / n) < 5 * se
-
-
-def test_dump_load_roundtrip(tmp_path, small_profile):
-    s = sample_band(small_profile, 5, 1)
-    path = tmp_path / "h.rbm"
-    dump_sample(s, path, W=small_profile.W)
-    mat, header = load_sample(path)
-    assert header == {"d": 1, "L": 8, "W": 2.0, "flow_time": 0.0}
-    assert path.stat().st_size == 32 + 8 * 8 * 8  # header + complex64 payload
-    assert np.max(np.abs(mat - s.matrix)) < 1e-6  # complex64 round-off
-    raw = path.read_bytes()
-    for bad in (raw[:10], raw[:-8], raw + b"\x00"):  # short header, payload, extra byte
-        path.write_bytes(bad)
-        with pytest.raises(ParameterError):
-            load_sample(path)

@@ -94,9 +94,9 @@ def test_deloc_supnorm_examples():
 
 def test_que_trace_identity(medium_profile, rng):
     z = 0.2 + 0.3j
-    sample = sample_band(medium_profile, 31, 0)
-    spec = eigensolve(sample)
-    ctx = resolvent(sample, z, medium_profile)
+    # each factorization takes its own draw of the same sample
+    spec = eigensolve(sample_band(medium_profile, 31, 0))
+    ctx = resolvent(sample_band(medium_profile, 31, 0), z, medium_profile)
     pi = random_trace_zero(medium_profile.lattice, rng)
     a = que_trace(ctx, pi)
     b = overlap_bound_check(spec, z, pi, l=z.imag)[3]  # the spectral double sum
@@ -163,9 +163,8 @@ def test_overlap_bound_examples(medium_profile, rng):
 
 def test_overlap_bound_check_returns_the_spectral_trace(medium_profile, rng):
     z = 0.2 + 0.3j
-    sample = sample_band(medium_profile, 42, 0)
-    spec = eigensolve(sample)
-    ctx = resolvent(sample, z, medium_profile)
+    spec = eigensolve(sample_band(medium_profile, 42, 0))
+    ctx = resolvent(sample_band(medium_profile, 42, 0), z, medium_profile)
     pi = random_trace_zero(medium_profile.lattice, rng)
     U = spec.eigenvectors
     w = z.imag / (np.abs(spec.eigenvalues - z) ** 2)
