@@ -6,9 +6,11 @@ r"""Command line front end.
     rbm rerun --manifest PATH [--out DIR] [--workers K]
 
 Exit codes: 0 success, 2 bad input (an invalid config, a parameter out of
-range, a kernel that is not positive, a bulk window too small for the gap
-ratio), 3 capacity error, 4 numeric failure; a stdout closed early
-(rbm ... | head -1) still exits 0, as the run and its files are complete.
+range, a band W above 1e12, an --out that names a file or a path under one,
+a kernel that is not positive, a bulk window too small for the gap ratio;
+an invalid config is refused before any draw), 3 capacity error, 4 numeric
+failure; a stdout closed early (rbm ... | head -1) still exits 0, as the
+run and its files are complete.
 --config points at a flat key=value file; the experiment and explicit
 flags win.  All values are cast by harness.cast_config.
 """

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     CapacityError,
     ContractError,
-    ParameterError,
     UnsupportedEdgeError,
     UnsupportedLabelError,
 )
@@ -53,8 +52,6 @@ __all__ = [
     "evaluate_brute",
     "second_order_graphs",
     "standard_bindings",
-    "serialize_graph",
-    "parse_graph",
 ]
 
 EVAL_TERM_CAP = 10**8
@@ -142,10 +139,6 @@ class Coefficient:
         if self.eta_pow:
             out *= eta**self.eta_pow
         return out
-
-    @property
-    def is_plain(self) -> bool:
-        return not (self.m_pow or self.mbar_pow or self.inv_neta_pow or self.eta_pow)
 
 
 @dataclass(frozen=True)
@@ -775,96 +768,3 @@ def second_order_graphs(a: int, b1: int, b2: int):
 def standard_bindings(a: int, b1: int, b2: int) -> dict:
     """Bindings for the external atoms of second_order_graphs."""
     return {0: int(a), 1: int(b1), 2: int(b2)}
-
-
-# --- serialization -------------------------------------------------------
-
-def _canonical_ids(g: AtomicGraph):
-    ext = [a.id for a in g.atoms if not a.internal]
-    inn = [a.id for a in g.atoms if a.internal]
-    order = ext + inn
-    return {old: new for new, old in enumerate(order)}, len(inn), len(ext)
-
-
-def _kind_token(e: Edge) -> str:
-    if e.kind == EdgeKind.LABELED_DIFFUSIVE:
-        return f"{EdgeKind.LABELED_DIFFUSIVE.value}{e.order}"
-    return e.kind.value
-
-
-def _label_token(label) -> list:
-    return [f"{label[0]}{label[1]}"] if label else []
-
-
-def serialize_graph(g: AtomicGraph) -> str:
-    """Line format: `atoms n_int n_ext`, then `edge KIND id1 id2 [P<i>|Q<i>]`,
-    `weight KIND id [..]`, `coeff re im [m mbar inv_neta eta]`.
-
-    Atom ids are canonicalized: externals first (0..n_ext-1, original
-    order), then internals.  parse_graph(serialize_graph(g)) reproduces the
-    canonical graph exactly.
-    """
-    remap, n_int, n_ext = _canonical_ids(g)
-    lines = [f"atoms {n_int} {n_ext}"]
-    for e in g.edges:
-        lab = e.label and (e.label[0], remap[e.label[1]])
-        lines.append(
-            " ".join(
-                ["edge", _kind_token(e), str(remap[e.a]), str(remap[e.b])]
-                + _label_token(lab)
-            )
-        )
-    for w in g.weights:
-        lab = w.label and (w.label[0], remap[w.label[1]])
-        lines.append(
-            " ".join(["weight", w.kind.value, str(remap[w.atom])] + _label_token(lab))
-        )
-    c = g.coeff
-    coeff_fields = [repr(float(c.value.real)), repr(float(c.value.imag))]
-    if not c.is_plain:
-        coeff_fields += list(
-            map(str, (c.m_pow, c.mbar_pow, c.inv_neta_pow, c.eta_pow))
-        )
-    lines.append(" ".join(["coeff"] + coeff_fields))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_label(tok: str):
-    if tok[0] not in "PQ":
-        raise ParameterError(f"bad label token {tok!r}")
-    return (tok[0], int(tok[1:]))
-
-
-def parse_graph(text: str) -> AtomicGraph:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("atoms "):
-        raise ParameterError("graph text must start with an 'atoms n_int n_ext' line")
-    _, n_int_s, n_ext_s = lines[0].split()
-    n_int, n_ext = int(n_int_s), int(n_ext_s)
-    atoms = tuple(
-        Atom(i, internal=(i >= n_ext)) for i in range(n_ext + n_int)
-    )
-    edges, weights = [], []
-    coeff = Coefficient()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "edge":
-            kind_tok, a, b = parts[1], int(parts[2]), int(parts[3])
-            label = _parse_label(parts[4]) if len(parts) > 4 else None
-            if kind_tok.startswith(EdgeKind.LABELED_DIFFUSIVE.value) and kind_tok != EdgeKind.LABELED_DIFFUSIVE.value:
-                order = int(kind_tok[len(EdgeKind.LABELED_DIFFUSIVE.value):])
-                edges.append(Edge(a, b, EdgeKind.LABELED_DIFFUSIVE, order, label))
-            else:
-                edges.append(Edge(a, b, EdgeKind(kind_tok), None, label))
-        elif parts[0] == "weight":
-            label = _parse_label(parts[3]) if len(parts) > 3 else None
-            weights.append(Weight(int(parts[2]), WeightKind(parts[1]), label))
-        elif parts[0] == "coeff":
-            value = complex(float(parts[1]), float(parts[2]))
-            if len(parts) > 3:
-                coeff = Coefficient(value, *map(int, parts[3:7]))
-            else:
-                coeff = Coefficient(value)
-        else:
-            raise ParameterError(f"unknown line {ln!r}")
-    return AtomicGraph(atoms, tuple(edges), tuple(weights), coeff)

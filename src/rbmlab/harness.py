@@ -79,6 +79,10 @@ __all__ = [
 ]
 
 _DENSE_N_CAP = 8192
+# Metrics scale by W**-5 (que), W**4 (pgon) and (W/L)**2 (profile); at W = 1e12 these
+# stay within 1e60 of 1, far inside float64's range, while W**-5 underflows to 0
+# near W = 1e65.  A band this wide already spans every lattice (L <= 2**30).
+_MAX_BAND = 1e12
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _PSI_NAMES = (*_SHAPES, "mean-field")
 _SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
@@ -220,8 +224,8 @@ def _validate(config: ExperimentConfig):
         bad.append(f"d={config.d} must be >= 1")
     if config.L < 2:
         bad.append(f"L={config.L} must be >= 2")
-    if not (np.isfinite(config.W) and config.W >= 1):
-        bad.append(f"W={config.W} must be finite and >= 1")
+    if not 1 <= config.W <= _MAX_BAND:
+        bad.append(f"W={config.W} must satisfy 1 <= W <= {_MAX_BAND:g}")
     if config.d * np.log2(max(config.L, 2)) > 30:
         bad.append(f"d*log2(L) = {config.d * np.log2(config.L):.1f} exceeds 30")
     if not all(np.isfinite(e) and e > 0 for e in config.eta):
@@ -240,6 +244,12 @@ def _validate(config: ExperimentConfig):
         bad.append(f"format={config.fmt!r} must be csv or json")
     if config.psi not in _PSI_NAMES:
         bad.append(f"psi={config.psi!r} unknown")
+    if config.out:
+        head = os.path.abspath(config.out)
+        while not os.path.lexists(head):  # the nearest part of the path that exists
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            bad.append(f"out={config.out!r} is a file or lies under one; it must name a directory")
     if bad:
         raise ValidationError("invalid config: " + "; ".join(bad))
     if config.experiment != "profile" and config.N > _DENSE_N_CAP:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ParameterError, ProfilePositivityError
 from .lattice import TorusLattice
-from .tables import site_table, write_table
 
 __all__ = [
     "ShapeFunction",
@@ -122,12 +121,6 @@ class VarianceProfile:
     def dense_matrix(self) -> np.ndarray:
         """Full N x N variance matrix; intended for small N."""
         return self.lattice.kernel_matrix(self.kernel_fft)
-
-    def export_kernel_csv(self, path) -> None:
-        write_table(path, *site_table(self.lattice, self.kernel_fft, "x", "f"))
-
-    def export_symbol_csv(self, path) -> None:
-        write_table(path, *site_table(self.lattice, self.symbol_fft, "k", "lambda"))
 
 
 def build_profile(psi: ShapeFunction, W: float, lat: TorusLattice) -> VarianceProfile:

@@ -17,7 +17,6 @@ from .errors import CapacityError, HalfPlaneError, ParameterError
 from .lattice import TorusLattice, torus_distance
 from .profile import VarianceProfile
 from .spectral import semicircle_m
-from .tables import write_table
 
 __all__ = [
     "PropagatorSet",
@@ -25,11 +24,9 @@ __all__ = [
     "s_pm",
     "b_profile",
     "b_kernel",
-    "theta_bound_report",
     "dense_theta_circ",
     "dense_theta",
     "dense_s_plus",
-    "export_kernel_csv",
 ]
 
 _DENSE_CAP = 512
@@ -111,33 +108,6 @@ def b_kernel(lat: TorusLattice, W: float) -> np.ndarray:
     return W ** (-2.0) * (lat.distance_fft + W) ** (2.0 - lat.d)
 
 
-def theta_bound_report(prof: VarianceProfile, z: complex) -> dict:
-    """Distance profile of |theta_circ| against the decay profile B.
-
-    Informational only: the theoretical bound carries an arbitrary slack
-    power of W, so no constant is asserted.
-    """
-    z = complex(z)
-    if abs(z.real) > 1.9:
-        raise ParameterError(f"report requires |Re z| <= 1.9, got {z.real}")
-    lat = prof.lattice
-    tc = np.abs(theta_circ(prof, z)).ravel()
-    bk = b_kernel(lat, prof.W).ravel()
-    dist = lat.distance_fft.ravel()  # ufunc.at has its fast path for 1-d indices
-    ratio = tc / bk
-    shells = np.arange(int(dist.max()) + 1)
-    shell_theta, shell_b = np.zeros((2, shells.size))
-    np.maximum.at(shell_theta, dist, tc)
-    np.maximum.at(shell_b, dist, bk)
-    return {
-        "max_ratio": float(ratio.max()),
-        "distances": shells,
-        "theta_max": shell_theta,
-        "b_value": shell_b,
-        "shell_ratio": shell_theta / shell_b,
-    }
-
-
 def _dense_s(prof: VarianceProfile) -> np.ndarray:
     n = prof.lattice.N
     if n > _DENSE_CAP:
@@ -168,10 +138,3 @@ def dense_s_plus(prof: VarianceProfile, z: complex) -> np.ndarray:
     n = S.shape[0]
     m2 = semicircle_m(complex(z)) ** 2
     return m2 * np.linalg.solve(np.eye(n, dtype=complex) - m2 * S, S.astype(complex))
-
-
-def export_kernel_csv(prof: VarianceProfile, z: complex, path) -> None:
-    """Shell-aggregated kernel report: distance, |theta_circ|, B, ratio."""
-    rep = theta_bound_report(prof, z)
-    rows = zip(*(rep[k].tolist() for k in ("distances", "theta_max", "b_value", "shell_ratio")))
-    write_table(path, ["distance", "abs_theta_circ", "b_profile", "ratio"], rows)

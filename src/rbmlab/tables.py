@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["write_text", "table_text", "write_table", "site_table"]
+__all__ = ["write_text", "table_text", "site_table"]
 
 
 def write_text(path, text: str) -> None:
@@ -37,10 +37,6 @@ def _cell(v) -> str:
 
 def table_text(header, rows) -> str:
     return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
-
-
-def write_table(path, header, rows) -> None:
-    write_text(path, table_text(header, rows))
 
 
 def site_table(lat, arr_fft, axis_name: str, value_name: str):

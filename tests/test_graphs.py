@@ -28,10 +28,8 @@ from rbmlab.graphs import (
     is_normal,
     molecular_graph,
     molecules,
-    parse_graph,
     scaling_order,
     second_order_graphs,
-    serialize_graph,
     standard_bindings,
 )
 from rbmlab.lattice import TorusLattice
@@ -412,25 +410,3 @@ def test_second_order_graph_count_and_orders():
     assert len(graphs) == 4
     assert [scaling_order(g) for g in graphs] == [3, 0, 3, 3]
     assert all(not is_normal(g)[0] for g in graphs[:1])  # raw leading term lacks pairing
-
-
-def test_serialization_roundtrip():
-    for g in second_order_graphs(0, 1, 3):
-        text = serialize_graph(g)
-        parsed = parse_graph(text)
-        assert serialize_graph(parsed) == text
-    fancy = AtomicGraph(
-        ext(0) + internal(1),
-        (
-            Edge(0, 1, EdgeKind.LABELED_DIFFUSIVE, order=4),
-            Edge(0, 1, EdgeKind.WAVED, label=("P", 1)),
-        ),
-        (Weight(1, WeightKind.LIGHT_BLUE, label=("Q", 0)),),
-        Coefficient(0.5 - 1.25j, m_pow=2, inv_neta_pow=1),
-    )
-    text = serialize_graph(fancy)
-    parsed = parse_graph(text)
-    assert serialize_graph(parsed) == text
-    assert parsed.coeff == fancy.coeff
-    assert parsed.edges[0].order == 4
-    assert parsed.edges[1].label == ("P", 1)

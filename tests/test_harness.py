@@ -96,12 +96,13 @@ def test_config_validation_errors():
     with pytest.raises(ValidationError, match="log2"):
         run(ExperimentConfig("wardcheck", d=4, L=512))
     nan, inf = float("nan"), float("inf")
-    for field, value in (("W", nan), ("W", inf), ("E", nan), ("eta", (nan,)),
-                         ("eta", (0.5, inf)), ("flow_time", nan), ("flow_time", inf)):
+    for field, value in (("W", nan), ("W", inf), ("W", 2 * harness._MAX_BAND), ("E", nan),
+                         ("eta", (nan,)), ("eta", (0.5, inf)), ("flow_time", nan), ("flow_time", inf)):
         with pytest.raises(ValidationError, match=f"{field}="):
             run(ExperimentConfig("universality", **{field: value}))
     with pytest.raises(CapacityError, match="8192"):
         run(ExperimentConfig("wardcheck", d=1, L=16384))
+    harness._validate(ExperimentConfig("universality", W=harness._MAX_BAND))  # the bound is admitted
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -339,6 +340,9 @@ def test_cli_success_and_exit_codes(tmp_path):
         ["texp2", "--flow-time", "inf", "--trials", "100"],
         ["profile", "--band", "nan"],
         ["profile", "--band", "inf"],
+        ["profile", "--band", "1e100"],  # finite, but (W/L)**2 overflows near 1e154
+        ["que", "--band", "1e100", "--trials", "1"],  # W**-5 underflows to 0
+        ["pgon", "--band", "1e100"],  # W**4 overflows
         ["wardcheck", "--eta", "0.1,inf", "--trials", "2"],
     ):
         bad = tmp_path / args[0]
@@ -384,17 +388,37 @@ def test_inadmissible_input_exits_2_without_traceback(tmp_path, args):
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_names_a_file_exits_2_before_the_run(tmp_path, monkeypatch, under):
+    src = tmp_path / "src"
+    assert cli.main(["profile", "--dim", "1", "--size", "8", "--out", str(src)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if under else blocker
+    # no experiment may start: the check comes before any draw
+    monkeypatch.setitem(harness._DISPATCH, "profile", lambda config, workers: pytest.fail("ran"))
+    for args in (
+        ["profile", "--dim", "1", "--size", "8", "--out", str(out)],
+        ["rerun", "--manifest", str(src / "manifest.json"), "--out", str(out)],
+    ):
+        assert cli.main(args) == 2, args
+    res = _run_cli("profile", "--dim", "1", "--size", "8", "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "is a file or lies under one" in res.stderr
+    assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
+    assert blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o027, 0o640)])
 def test_output_files_take_the_umask_mode(tmp_path, mask, mode):
-    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 8))
-    out = tmp_path / "run"
+    out, prof = tmp_path / "run", tmp_path / "profile"
     old = os.umask(mask)
     try:
         run(ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=2, out=str(out)))
-        prof.export_kernel_csv(tmp_path / "kernel.csv")
+        run(ExperimentConfig("profile", d=1, L=8, W=2.0, out=str(prof)))
     finally:
         os.umask(old)
-    for path in (out / "manifest.json", out / "metrics.json", tmp_path / "kernel.csv"):
+    for path in (out / "manifest.json", out / "metrics.json", prof / "kernel.csv"):
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 

@@ -11,9 +11,7 @@ from rbmlab.propagators import (
     dense_s_plus,
     dense_theta,
     dense_theta_circ,
-    export_kernel_csv,
     s_pm,
-    theta_bound_report,
     theta_circ,
 )
 from rbmlab.spectral import semicircle_m
@@ -105,40 +103,12 @@ def test_b_kernel_matches_pointwise():
             )
 
 
-def test_theta_bound_report():
-    prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(3, 16))
-    rep = theta_bound_report(prof, 0.2 + 0.3j)
-    assert np.isfinite(rep["max_ratio"])
-    mf = mean_field_profile(TorusLattice(1, 16))
-    assert theta_bound_report(mf, 0.2 + 0.3j)["max_ratio"] == 0.0
-    with pytest.raises(ParameterError):
-        theta_bound_report(prof, 1.95 + 0.3j)
-
-
-@pytest.mark.parametrize("d,L,W", [(1, 33, 4.0), (2, 16, 2.0), (3, 8, 2.0)])
-def test_theta_bound_report_shells_match_per_shell_masks(d, L, W):
-    prof = build_profile(get_shape("gaussian"), W, TorusLattice(d, L))
-    z = 0.2 + 0.3j
-    rep = theta_bound_report(prof, z)
-    tc = np.abs(theta_circ(prof, z)).ravel()
-    bk = b_kernel(prof.lattice, W).ravel()
-    dist = prof.lattice.distance_fft.ravel()
-    shells = np.arange(int(dist.max()) + 1)
-    theta_max = np.array([tc[dist == s].max() for s in shells])
-    b_value = np.array([bk[dist == s].max() for s in shells])
-    assert np.array_equal(rep["distances"], shells)
-    assert np.array_equal(rep["theta_max"], theta_max)
-    assert np.array_equal(rep["b_value"], b_value)
-    assert np.array_equal(rep["shell_ratio"], theta_max / b_value)
-    assert rep["max_ratio"] == float((tc / bk).max())
-
-
 def test_theta_ratio_stable_under_doubling():
     z = 0.2 + 0.3j
     ratios = []
     for L in (8, 16):
         prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(3, L))
-        ratios.append(theta_bound_report(prof, z)["max_ratio"])
+        ratios.append(float((np.abs(theta_circ(prof, z)) / b_kernel(prof.lattice, 2.0)).max()))
     assert ratios[1] < 10 * ratios[0]
 
 
@@ -153,13 +123,3 @@ def test_imag_identity_at_propagator_z(rng):
         z = complex(rng.uniform(-1.9, 1.9), rng.uniform(0.01, 1.0))
         m = semicircle_m(z)
         assert abs(abs(m) ** 2 / (1 - abs(m) ** 2) - m.imag / z.imag) < 1e-12
-
-
-def test_kernel_csv_export(tmp_path):
-    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 16))
-    path = tmp_path / "theta.csv"
-    export_kernel_csv(prof, 0.2 + 0.3j, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "distance,abs_theta_circ,b_profile,ratio"
-    assert len(lines) == 2 + 8  # distances 0..8
-    assert not list(tmp_path.glob("*.tmp"))

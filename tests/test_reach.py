@@ -1,34 +1,33 @@
-"""Every routine in src/rbmlab is called from other code in the package, or
+"""Every routine in src/rbmlab is reached from the package's entry points, or
 is on the short list below of routines kept on purpose.
 
-The walk is by name: a module-level function or class, or a method, counts
-as reached when its name is read (as a name or an attribute) anywhere in
-the package outside its own definition.  Dunder methods are called by
-Python itself and are skipped.  A read of a same-named field or routine
-also counts, so the walk can miss a dead routine.  Calls from outside the
-package (tests, the benchmark) are not seen; the list is for those.
+The walk follows calls.  Its roots are the code each module runs on import
+(module-level statements such as harness._DISPATCH, and class bodies),
+cli.main and the routines in _KEPT.  A module-level function or class, or
+a method, is reached when a reached definition reads its name (as a name or
+an attribute); the walk then follows the names that definition reads.  A
+reached class reaches its dunder methods, which Python itself calls.  So a
+cluster of dead routines that only call each other stays unreached.
+
+Names are matched across the package, not resolved through imports: a read
+of a same-named field or routine also counts, so the walk can still miss a
+dead routine.  Calls from outside the package (tests, the benchmark) are
+not seen; _KEPT is for those.
 """
 
 import ast
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import rbmlab
 
-# (module, name) of the routines no code in the package calls, and why each stays
+# (module, name) of the routines the package's entry points do not reach, and why each stays
 _KEPT = {
     # oracles that tests compare the production routes against
     ("graphs", "evaluate_brute"),  # enumeration oracle of evaluate
     ("propagators", "b_profile"),  # pointwise oracle of b_kernel
     ("sampler", "sample_gue"),  # dense GUE, oracle of gue_eigenvalues; the benchmark traces it
     ("stats", "random_trace_zero"),  # test diagonal of acceptance criterion 7
-    # documented file formats (README, "File formats")
-    ("graphs", "serialize_graph"),
-    ("graphs", "parse_graph"),
-    # the profile and propagator CSV exports
-    ("profile", "export_kernel_csv"),
-    ("profile", "export_symbol_csv"),
-    ("propagators", "export_kernel_csv"),
     # called by the benchmark's graph-eval workload
     ("propagators", "theta_circ_at"),
     # evaluate's work bound, the count the benchmark's evaluator metric should read
@@ -39,45 +38,92 @@ _KEPT = {
 }
 
 
-def _names(node) -> Counter:
-    """Names read in node: loaded names and attributes, not assignments."""
-    out = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            out[n.attr] += 1
-    return out
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in Path(rbmlab.__file__).parent.glob("*.py")}
 
 
-def _definitions(tree):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
-            if isinstance(node, ast.ClassDef):
-                yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+def _reads(nodes) -> set:
+    """Names read in nodes: loaded names and attributes, not assignments."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _graph(trees):
+    """(roots, defs): the names module-level code reads, and name ->
+    [(module, names its definition reads)] for every module-level function
+    and class and every method that is not a dunder.  A class reads its
+    bases, decorators and body outside those methods, dunders included."""
+    roots, defs = set(), defaultdict(list)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name].append((mod, _reads([node])))
+            elif isinstance(node, ast.ClassDef):
+                methods = [
+                    m for m in node.body if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name)
+                ]
+                rest = [s for s in node.body if s not in methods]
+                defs[node.name].append(
+                    (mod, _reads([*node.decorator_list, *node.bases, *node.keywords, *rest]))
+                )
+                for m in methods:
+                    defs[m.name].append((mod, _reads([m])))
+            else:
+                roots |= _reads([node])
+    return roots, defs
+
+
+def _reached(defs, roots) -> set:
+    """The names reached from roots by following what each definition reads."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(r for _, reads in defs.get(name, ()) for r in reads)
+    return seen
 
 
 def test_every_routine_is_reached_or_kept_on_purpose():
-    trees = {p.stem: ast.parse(p.read_text()) for p in Path(rbmlab.__file__).parent.glob("*.py")}
-    uses = sum((_names(t) for t in trees.values()), Counter())
-    unreached = {
-        (mod, d.name)
-        for mod, tree in trees.items()
-        for d in _definitions(tree)
-        if not (d.name.startswith("__") and d.name.endswith("__"))
-        and uses[d.name] == _names(d)[d.name]
-    }
-    assert not unreached - _KEPT, f"called by no code in src: wire in or delete {sorted(unreached - _KEPT)}"
+    roots, defs = _graph(_trees())
+    roots.add("main")  # cli.main, the rbm entry point
+    every = {(mod, name) for name, ds in defs.items() for mod, _ in ds}
+    reached = _reached(defs, roots)
+    unreached = {(mod, name) for mod, name in every if name not in reached}
+    kept = _reached(defs, roots | {name for _, name in _KEPT})
+    dead = {(mod, name) for mod, name in every if name not in kept}
+    assert not dead, f"reached from no entry point nor _KEPT: wire in or delete {sorted(dead)}"
     assert not _KEPT - unreached, f"reached or gone, drop from _KEPT: {sorted(_KEPT - unreached)}"
+
+
+def test_the_walk_follows_calls_not_mentions():
+    # a dead pair that calls each other is unreached; a caller reached from a root reaches both
+    tree = ast.parse(
+        "def _a():\n    return _b()\n"
+        "def _b():\n    return _a()\n"
+        "class C:\n    def __len__(self):\n        return _c()\n    def m(self):\n        return _a()\n"
+        "def _c():\n    return 0\n"
+        "X = C\n"
+    )
+    roots, defs = _graph({"mod": tree})
+    assert roots == {"C"}
+    assert _reached(defs, roots) == {"C", "_c"}
+    assert _reached(defs, roots | {"m"}) == {"C", "_c", "m", "_a", "_b"}
 
 
 def test_only_harness_builds_stat_reports():
     # statistics return numbers; harness alone names, defines and counts metrics
-    trees = {p.stem: ast.parse(p.read_text()) for p in Path(rbmlab.__file__).parent.glob("*.py")}
     builders = {
         mod
-        for mod, tree in trees.items()
+        for mod, tree in _trees().items()
         for n in ast.walk(tree)
         if isinstance(n, ast.Call)
         and (getattr(n.func, "id", None) == "StatReport" or getattr(n.func, "attr", None) == "StatReport")
