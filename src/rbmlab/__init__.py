@@ -31,7 +31,6 @@ from .spectral import (
     SpectralData,
     eigensolve,
     resolvent,
-    second_order_residual,
     semicircle_m,
     t_three,
     ward_residual,

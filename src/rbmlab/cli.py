@@ -7,10 +7,12 @@ r"""Command line front end.
 
 Exit codes: 0 success, 2 bad input (an invalid config, a parameter out of
 range, a band W above 1e12, an --out that names a file or a path under one,
-a kernel that is not positive, a bulk window too small for the gap ratio;
-an invalid config is refused before any draw), 3 capacity error, 4 numeric
-failure; a stdout closed early (rbm ... | head -1) still exits 0, as the
-run and its files are complete.
+a locallaw |E| above 1.9, a texp2 run of fewer than 100 trials, a flag the
+command does not take: rerun reruns the manifest's config as recorded, and
+only rerun takes --manifest; a kernel that is not positive, a bulk window
+too small for the gap ratio; an invalid config is refused before any
+draw), 3 capacity error, 4 numeric failure; a stdout closed early
+(rbm ... | head -1) still exits 0, as the run and its files are complete.
 --config points at a flat key=value file; the experiment and explicit
 flags win.  All values are cast by harness.cast_config.
 """
@@ -55,9 +57,18 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    rerun_cmd = args.experiment == "rerun"
     try:
-        if args.experiment == "rerun":
+        stray = [  # the given flags this command does not take
+            a.option_strings[-1] for a in parser._actions
+            if a.option_strings and getattr(args, a.dest, None) is not None
+            and (a.dest not in ("manifest", "out", "workers") if rerun_cmd else a.dest == "manifest")
+        ]
+        if stray:
+            raise ValidationError(f"{args.experiment} does not take {', '.join(stray)}")
+        if rerun_cmd:
             if not args.manifest:
                 raise ValidationError("rerun requires --manifest")
             record = rerun(args.manifest, out=args.out, workers=args.workers)

@@ -415,12 +415,6 @@ _PROPAGATOR_KERNELS = {
 _SCALAR_KINDS = (EdgeKind.FREE, EdgeKind.GHOST)
 
 
-def _need_props(props):
-    if props is None:
-        raise ContractError("graph references propagator kernels; PropagatorSet required")
-    return props
-
-
 def _check_evaluable(g: AtomicGraph):
     if g.has_labels():
         raise UnsupportedLabelError("partial expectations have no closed numerical form")
@@ -429,7 +423,6 @@ def _check_evaluable(g: AtomicGraph):
 
 
 def _checked_bindings(g: AtomicGraph, n: int, bindings) -> dict:
-    bindings = dict(bindings or {})
     for a in g.external_atoms:
         if a.id not in bindings:
             raise ContractError(f"external atom {a.id} is unbound")
@@ -577,7 +570,7 @@ def _kernel_factor(lat, kern, sa, sb, same):
     return out if sb is None else out[sb]
 
 
-def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> complex:
+def evaluate(g: AtomicGraph, ctx, props, bindings: dict) -> complex:
     """Value of an atomic graph: coefficient times the sum over all
     internal-atom site assignments of the product of edge and weight
     factors, computed as one einsum contraction.
@@ -589,8 +582,8 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
     the two sites and cross-dotted edges give the inequality indicator
     (J - I); regular weights give G_xx (or conj), light weights G_xx - m
     (or conj).  P/Q labels and labeled-diffusive edges have no numerical
-    evaluator and raise.  s_xy and W come from ctx.profile; only the
-    plus/minus and diffusive kernels need props, a PropagatorSet.
+    evaluator and raise.  s_xy and W come from ctx.profile, the plus/minus
+    and diffusive kernels from props, the PropagatorSet of ctx's z.
 
     A kernel edge into a summed index that only vectors also read is summed
     out by FFT convolution before the einsum.  The contraction is compiled
@@ -607,8 +600,6 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
             f"contraction cost {plan.cost} exceeds evaluation cap {EVAL_TERM_CAP}"
         )
 
-    if any(kind in _PROPAGATOR_KERNELS for kind, _, _ in plan.factors):
-        _need_props(props)
     scale = g.coeff.resolve(ctx.m, n, ctx.eta) * n**plan.n_bare
     if any(bindings[a] != bindings[b] for a, b in plan.tied):
         return 0j
@@ -659,7 +650,7 @@ def evaluate(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> c
     return scale
 
 
-def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None) -> complex:
+def evaluate_brute(g: AtomicGraph, ctx, props, bindings: dict) -> complex:
     """Enumeration oracle for evaluate: the same sum, taken over all N^#internal
     site assignments in chunks, with every factor looked up per assignment.
     Capped at N^#internal <= EVAL_TERM_CAP."""
@@ -692,7 +683,7 @@ def evaluate_brute(g: AtomicGraph, ctx, props=None, bindings: dict | None = None
             elif e.kind == EdgeKind.WAVED:
                 val = val * ctx.profile.kernel_flat[lat.diff_flat(sa, sb)]
             elif e.kind in _PROPAGATOR_KERNELS:
-                kern = getattr(_need_props(props), _PROPAGATOR_KERNELS[e.kind])
+                kern = getattr(props, _PROPAGATOR_KERNELS[e.kind])
                 val = val * kern.ravel()[lat.diff_flat(sa, sb)]
             elif e.kind == EdgeKind.FREE:
                 val = val * (1.0 / (n * ctx.eta))

@@ -78,18 +78,6 @@ class TorusLattice:
             )
         return x
 
-    def index_of(self, coord) -> np.ndarray:
-        """Linear site index of canonical coordinate(s); inverse of coord_of."""
-        c = self.check_coords(coord)
-        return np.ravel_multi_index(tuple((c + self.shift).T), (self.L,) * self.d)
-
-    def coord_of(self, index) -> np.ndarray:
-        idx = np.asarray(index)
-        if np.any(idx < 0) or np.any(idx >= self.N):
-            raise InvalidCoordinateError(f"site index out of range [0, {self.N})")
-        unr = np.stack(np.unravel_index(idx, (self.L,) * self.d), axis=-1)
-        return unr - self.shift
-
     def diff_flat(self, i, j) -> np.ndarray:
         """FFT-layout flat index of the displacement between site indices.
 

@@ -64,7 +64,6 @@ class PropagatorSet:
 
     profile: VarianceProfile
     z: complex
-    m: complex
     theta_circ_fft: np.ndarray = field(repr=False)
     theta_fft: np.ndarray = field(repr=False)
     s_plus_fft: np.ndarray = field(repr=False)
@@ -74,10 +73,9 @@ class PropagatorSet:
     def build(cls, prof: VarianceProfile, z: complex) -> "PropagatorSet":
         z = complex(z)
         tc = theta_circ(prof, z)
-        m = semicircle_m(z)
-        tf = tc + m.imag / (prof.lattice.N * z.imag)
+        tf = tc + semicircle_m(z).imag / (prof.lattice.N * z.imag)
         sp, sm = s_pm(prof, z)
-        return cls(prof, z, m, tc, tf, sp, sm)
+        return cls(prof, z, tc, tf, sp, sm)
 
     @property
     def lattice(self) -> TorusLattice:

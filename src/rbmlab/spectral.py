@@ -39,11 +39,9 @@ inverts the blocks at and below _BLOCK_MIN.  Every G that resolvent returns
 has passed the Ward sentinel, the column Ward identity checked in O(N^2)
 (ResolventContext.ward_dev).
 
-second_order_residual takes all its site triples at once: each chunk of
-trials (seeding._chunk_ranges, through the shared seeding._map_chunks) is
-drawn as one stack by sampler.sample_band_batch, shifted and inverted in
-place by _block_inv and checked by the Ward sentinel, and every triple is
-evaluated on that stack by _second_order_batch.
+resolvent_stack inverts a stack of draws in place and Ward-checks it, and
+_second_order_batch evaluates many site triples on that stack; the trial
+loop over them is harness's (rbm texp2), like every trial loop.
 """
 
 import functools
@@ -53,28 +51,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _lapack
-from .errors import (
-    HalfPlaneError,
-    InsufficientSamplesError,
-    NumericError,
-    ParameterError,
-)
+from .errors import HalfPlaneError, NumericError, ParameterError
 from .lattice import BLOCK_ENTRIES, TorusLattice, row_blocks
 from .profile import VarianceProfile
-from .sampler import HermitianSample, Provenance, sample_band_batch
-from .seeding import _chunk_ranges, _map_chunks, substream_rng
+from .sampler import HermitianSample, Provenance
+from .seeding import substream_rng
 
 __all__ = [
     "semicircle_m",
     "ResolventContext",
     "SpectralData",
     "resolvent",
+    "resolvent_stack",
     "ward_residual",
     "t_three",
     "zero_mode_split",
     "second_order_terms",
-    "second_order_residual",
-    "SecondOrderResult",
     "eigenvalues",
     "gue_eigenvalues",
     "eigensolve",
@@ -168,6 +160,16 @@ def resolvent(
     ctx = ResolventContext(z, G, sample.provenance, profile)
     ctx.ward_dev  # raises NumericError on a wrong G
     return ctx
+
+
+def resolvent_stack(a, z: complex, what: str):
+    """(G, dev): the resolvents (H - z)^{-1}, Im z > 0, of a stack a of shape
+    (B, N, N), written over a by _block_inv, and the Ward sentinel's largest
+    deviation over them; `what` names the stack in its NumericError."""
+    if z.imag <= 0:
+        raise HalfPlaneError("resolvent_stack requires Im z > 0")
+    G = _block_inv(_shifted(a, z))
+    return G, _ward_check(G, z.imag, what)
 
 
 def _shifted(a, z):
@@ -366,95 +368,6 @@ def _second_order_batch(G, m, eta, prof, sites, theta_rows):
     A = m * u * pair + m * (Gd.conj() - np.conj(m)) * w
     corr = np.einsum("tbx,tx->tb", A, theta_rows)
     return T, lead, zm, corr
-
-
-@dataclass(frozen=True)
-class SecondOrderResult:
-    mean: complex
-    stderr_re: float
-    stderr_im: float
-    trials: int
-    max_ward_sentinel_dev: float  # over every trial's resolvent
-
-    @property
-    def zscores(self):
-        return (
-            abs(self.mean.real) / self.stderr_re if self.stderr_re else np.inf,
-            abs(self.mean.imag) / self.stderr_im if self.stderr_im else np.inf,
-        )
-
-
-def second_order_residual(
-    prof: VarianceProfile,
-    z: complex,
-    sites,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list:
-    """Monte Carlo means of the second-order expansion residual, one
-    SecondOrderResult per site triple (a, b1, b2) in `sites`, in order.
-
-    Each trial is drawn and inverted once, and every triple is evaluated on
-    that resolvent.  The omitted fluctuation terms have zero partial
-    expectation, so each residual mean is an exact statistical zero; the
-    returned standard errors support a z-test per triple.  Deterministic in
-    (seed, trials) for any worker count.
-    """
-    from .propagators import theta_circ
-
-    if trials < 100:
-        raise InsufficientSamplesError(f"need at least 100 trials, got {trials}")
-    lat = prof.lattice
-    sites = [tuple(int(s) for s in triple) for triple in sites]
-    if not sites or any(len(t) != 3 or min(t) < 0 or max(t) >= lat.N for t in sites):
-        raise ParameterError(f"need site triples with entries in [0, {lat.N}), got {sites}")
-    z = complex(z)
-    theta_rows = lat.kernel_matrix(theta_circ(prof, z), [a for a, _, _ in sites])
-    partials = _map_chunks(
-        _residual_chunk,
-        [(prof, z, sites, theta_rows, seed, t0, t1) for t0, t1 in _chunk_ranges(trials)],
-        workers,
-    )
-    sentinel = max(dev for dev, _ in partials)
-    results = []
-    for i in range(len(sites)):
-        n, mean, m2 = functools.reduce(_merge_moments, (p[i] for _, p in partials))
-        var_re, var_im = m2 / n
-        results.append(SecondOrderResult(
-            complex(mean), float(np.sqrt(var_re / n)), float(np.sqrt(var_im / n)), n, sentinel
-        ))
-    return results
-
-
-def _moments(values):
-    """(n, mean, M2) of complex values, with M2 = [sum of squared deviations
-    of the real parts, same for the imaginary parts] about the mean."""
-    mean = values.mean()
-    dev = values - mean
-    return values.size, mean, np.array([np.sum(dev.real**2), np.sum(dev.imag**2)])
-
-
-def _merge_moments(a, b):
-    """Pairwise update of two (n, mean, M2) partials (Chan, Golub and
-    LeVeque), stable where sum(x^2)/n - mean^2 cancels catastrophically."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    m2 = m2_a + m2_b + np.array([delta.real**2, delta.imag**2]) * (na * nb / n)
-    return n, mean_a + delta * (nb / n), m2
-
-
-def _residual_chunk(args):
-    """The Ward sentinel's deviation and the residual moments of every site
-    triple over trials [t0, t1), from one stack of draws inverted once."""
-    prof, z, sites, theta_rows, seed, t0, t1 = args
-    m = semicircle_m(z)
-    G = _block_inv(_shifted(sample_band_batch(prof, seed, t0, t1), z))
-    dev = _ward_check(G, z.imag, f"seed {seed}, trials [{t0}, {t1}), z={z}")
-    T, lead, zm, corr = _second_order_batch(G, m, z.imag, prof, sites, theta_rows)
-    return dev, [_moments(r) for r in T - lead - zm - corr]
 
 
 def eigenvalues(sample: HermitianSample) -> np.ndarray:

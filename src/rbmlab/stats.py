@@ -42,6 +42,7 @@ __all__ = [
 _TRACE_TOL = 1e-10
 PGON_TERM_CAP = 10**8
 QUE_BOUND_MIN_DRAWS = 20  # fewest traces que_bound_ratio averages
+LOCAL_LAW_MAX_E = 1.9  # largest |E| local_law_ratios admits: the bulk
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def local_law_ratios(ctx: ResolventContext) -> tuple:
     Returns (max_diag_gap, shell_max): max_x |G_xx - m| and, for distances
     1..max, the largest |G_xy|^2 / (B_xy + 1/(N eta)) at that distance, so
     shell_max.max() is the largest off-diagonal ratio."""
-    if abs(ctx.E) > 1.9:
-        raise ParameterError(f"bulk statistic requires |E| <= 1.9, got {ctx.E}")
+    if abs(ctx.E) > LOCAL_LAW_MAX_E:
+        raise ParameterError(f"bulk statistic requires |E| <= {LOCAL_LAW_MAX_E}, got {ctx.E}")
     lat = ctx.lattice
     n = ctx.N
     W = ctx.profile.W
@@ -134,6 +135,25 @@ def local_law_ratios(ctx: ResolventContext) -> tuple:
     denom[dist] = b_kernel(lat, W)
     shell_max /= denom + 1.0 / (n * ctx.eta)
     return diag_gap, shell_max[1:]
+
+
+def _moments(values):
+    """(n, mean, M2) of complex values, with M2 = [sum of squared deviations
+    of the real parts, same for the imaginary parts] about the mean."""
+    mean = values.mean()
+    dev = values - mean
+    return values.size, mean, np.array([np.sum(dev.real**2), np.sum(dev.imag**2)])
+
+
+def _merge_moments(a, b):
+    """Pairwise update of two (n, mean, M2) partials (Chan, Golub and
+    LeVeque), stable where sum(x^2)/n - mean^2 cancels catastrophically."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    m2 = m2_a + m2_b + np.array([delta.real**2, delta.imag**2]) * (na * nb / n)
+    return n, mean_a + delta * (nb / n), m2
 
 
 def deloc_supnorm(spec: SpectralData, kappa: float) -> float:

@@ -33,7 +33,6 @@ from rbmlab.spectral import (
     eigensolve,
     eigenvalues,
     resolvent,
-    second_order_residual,
     second_order_terms,
     semicircle_m,
     t_three,
@@ -158,16 +157,18 @@ def test_criterion_04_propagator_oracles():
 
 
 def test_criterion_05_second_order_expansion():
-    prof = build_profile(get_shape("gaussian"), 2.0, TorusLattice(1, 8))
-    z = 0.2 + 0.5j
+    # rbm texp2 at the gaussian profile, W = 2 on d = 1, L = 8, and z = 0.2 + 0.5i
+    rep = run(ExperimentConfig(
+        "texp2", d=1, L=8, W=2.0, E=0.2, eta=(0.5,), trials=200_000, seed=SEED + 4
+    )).report
     lines = []
-    triples = [(0, 0, 0), (0, 1, 3), (2, 5, 5)]
-    results = second_order_residual(prof, z, triples, trials=200_000, seed=SEED + 4)
-    for sites, res in zip(triples, results):
-        assert abs(res.mean.real) <= 5 * res.stderr_re, (sites, res)
-        assert abs(res.mean.imag) <= 5 * res.stderr_im, (sites, res)
-        zr, zi = res.zscores
-        lines.append(f"{sites}: z = ({zr:.2f}, {zi:.2f})")
+    for sites in [(0, 0, 0), (0, 1, 3), (2, 5, 5)]:
+        key = "sites_{}_{}_{}".format(*sites)
+        for part in ("re", "im"):
+            mean = rep.metrics[f"mean_{part}_{key}"]
+            assert mean.n == 200_000, (sites, mean)
+            assert abs(mean.value) <= 5 * mean.stderr, (sites, part, mean)
+        lines.append(f"{sites}: z = ({rep[f'z_re_{key}']:.2f}, {rep[f'z_im_{key}']:.2f})")
     _report(5, "second-order expansion statistical zero at 2e5 trials; " + "; ".join(lines))
 
 

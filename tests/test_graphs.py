@@ -272,15 +272,12 @@ def test_evaluate_errors(ctx_props):
     assert graph_cost(crowded, ctx.N) <= EVAL_TERM_CAP < graph_cost(clique, ctx.N)
     with pytest.raises(CapacityError):
         evaluate(clique, ctx, props, {0: 0})
-    # a dotted edge between externals on different sites makes the value 0,
-    # but a missing PropagatorSet still raises first
+    # a dotted edge between externals on different sites makes the value 0
     tied = AtomicGraph(
         ext(0, 1),
         (Edge(0, 1, EdgeKind.DOTTED), Edge(0, 1, EdgeKind.WAVED_PLUS), Edge(0, 1, EdgeKind.WAVED)),
     )
     assert evaluate(tied, ctx, props, {0: 0, 1: 1}) == 0
-    with pytest.raises(ContractError, match="PropagatorSet"):
-        evaluate(tied, ctx, None, {0: 0, 1: 1})
 
 
 def test_graph_cost_admits_what_brute_force_admits():

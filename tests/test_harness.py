@@ -409,6 +409,38 @@ def test_out_that_names_a_file_exits_2_before_the_run(tmp_path, monkeypatch, und
     assert blocker.read_text() == "kept\n"
 
 
+def test_flags_a_command_does_not_take_exit_2_before_the_run(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "src"
+    assert cli.main(["profile", "--dim", "1", "--size", "8", "--out", str(src)]) == 0
+    manifest = str(src / "manifest.json")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("trials=50\n")
+    capsys.readouterr()
+    for name in ("profile", "locallaw"):
+        monkeypatch.setitem(harness._DISPATCH, name, lambda config, workers: pytest.fail("ran"))
+    for args, stray in (
+        (["rerun", "--manifest", manifest, "--trials", "50", "--dim", "2"], "--dim, --trials"),
+        (["rerun", "--manifest", manifest, "--config", str(cfg)], "--config"),
+        (["rerun", "--manifest", manifest, "--format", "csv", "--out", str(tmp_path / "r")], "--format"),
+        (["locallaw", "--dim", "1", "--size", "64", "--manifest", manifest], "--manifest"),
+    ):
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err == f"error: {args[0]} does not take {stray}\n", args
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("energy", ["1.95", "-1.95"])
+def test_locallaw_outside_the_bulk_exits_2_before_any_draw(monkeypatch, capsys, energy):
+    monkeypatch.setattr(harness, "sample_band", lambda *args: pytest.fail("drew"))
+    args = ["locallaw", "--dim", "1", "--size", "64", "--eta", "0.1,0.2", "--trials", "2"]
+    assert cli.main([*args, f"--energy={energy}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "|E| <= 1.9" in err and len(err.splitlines()) == 1
+    harness._validate(ExperimentConfig("locallaw", E=-1.9))  # the bulk edge is admitted
+    harness._validate(ExperimentConfig("wardcheck", E=1.95))  # only the bulk statistic needs the bulk
+
+
 @pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o027, 0o640)])
 def test_output_files_take_the_umask_mode(tmp_path, mask, mode):
     out, prof = tmp_path / "run", tmp_path / "profile"

@@ -18,13 +18,6 @@ def test_coordinate_range():
     assert lat5.coords.min() == -2 and lat5.coords.max() == 2
 
 
-def test_index_coord_bijection():
-    lat = TorusLattice(2, 6)
-    idx = np.arange(lat.N)
-    assert np.array_equal(lat.index_of(lat.coord_of(idx)), idx)
-    assert np.array_equal(lat.coord_of(lat.index_of(lat.coords)), lat.coords)
-
-
 @pytest.mark.parametrize("d, L", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
 def test_kernel_matrix_matches_pair_index(d, L):
     lat = TorusLattice(d, L)
@@ -71,8 +64,6 @@ def test_invalid_coordinates_rejected():
         representative(5, 0, lat)  # 5 outside (-4, 4]
     with pytest.raises(InvalidCoordinateError):
         torus_distance(-4, 0, lat)  # -4 outside (-4, 4]
-    with pytest.raises(InvalidCoordinateError):
-        lat.coord_of(8)
 
 
 @given(

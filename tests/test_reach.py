@@ -32,9 +32,6 @@ _KEPT = {
     ("propagators", "theta_circ_at"),
     # evaluate's work bound, the count the benchmark's evaluator metric should read
     ("graphs", "graph_cost"),
-    # the coordinate <-> site index maps, which tests use
-    ("lattice", "index_of"),
-    ("lattice", "coord_of"),
 }
 
 
@@ -129,3 +126,15 @@ def test_only_harness_builds_stat_reports():
         and (getattr(n.func, "id", None) == "StatReport" or getattr(n.func, "attr", None) == "StatReport")
     }
     assert builders == {"harness"}, f"StatReport built outside harness: {sorted(builders - {'harness'})}"
+
+
+def test_only_harness_maps_trials():
+    # one trial map/reduce: harness alone chunks trials, maps the chunks and reduces them
+    mappers = {
+        mod
+        for mod, tree in _trees().items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and {getattr(n.func, "id", None), getattr(n.func, "attr", None)} & {"_map_chunks", "_chunk_ranges"}
+    }
+    assert mappers == {"harness"}, f"trials mapped outside harness: {sorted(mappers - {'harness'})}"

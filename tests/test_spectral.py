@@ -8,21 +8,21 @@ import pytest
 from rbmlab.errors import (
     ContractError,
     HalfPlaneError,
-    InsufficientSamplesError,
     NumericError,
     ParameterError,
+    ValidationError,
 )
 from rbmlab.lattice import TorusLattice
 from rbmlab.profile import build_profile, get_shape, mean_field_profile
 from rbmlab.sampler import HermitianSample, Provenance, ou_evolve, sample_band, sample_gue
-from rbmlab import spectral
+from rbmlab import harness, spectral
+from rbmlab.harness import ExperimentConfig, run
 from rbmlab.spectral import (
     ResolventContext,
     eigensolve,
     eigenvalues,
     gue_eigenvalues,
     resolvent,
-    second_order_residual,
     second_order_terms,
     semicircle_m,
     t_three,
@@ -354,27 +354,36 @@ def test_second_order_terms_match_the_dense_variance_matrix(medium_profile):
         assert abs(got_corr - corr) <= 1e-13 * (1 + abs(corr))
 
 
-def test_second_order_residual_smoke_and_validation(small_profile):
-    [res] = second_order_residual(small_profile, 0.2 + 0.5j, [(0, 1, 3)], 100, seed=5)
-    assert np.isfinite(res.mean.real) and np.isfinite(res.stderr_re)
-    assert res.trials == 100
-    with pytest.raises(InsufficientSamplesError):
-        second_order_residual(small_profile, 0.2 + 0.5j, [(0, 1, 3)], 99, seed=5)
+# the second-order residual's Monte Carlo mean, through rbm texp2: harness
+# draws and inverts each chunk of trials as one stack and reads every site
+# triple from it
+
+def _texp2(trials, seed, workers=1, **fields):
+    # at the small profile (gaussian, W = 2 on d = 1, L = 8) and z = 0.2 + 0.5i, unless fields say otherwise
+    cfg = ExperimentConfig("texp2", d=1, L=8, W=2.0, E=0.2, eta=(0.5,), trials=trials, seed=seed, **fields)
+    return run(cfg, workers=workers).report
+
+
+def test_second_order_residual_smoke_and_validation():
+    rep = _texp2(100, seed=5)
+    mean_re = rep.metrics["mean_re_sites_0_1_3"]
+    assert np.isfinite(mean_re.value) and np.isfinite(mean_re.stderr)
+    assert mean_re.n == 100
+    with pytest.raises(ValidationError, match="trials=99"):
+        _texp2(99, seed=5)
 
 
 def test_second_order_residual_mean_field():
-    prof = mean_field_profile(TorusLattice(1, 8))
-    [res] = second_order_residual(prof, 0.2 + 0.5j, [(0, 1, 3)], 4000, seed=6)
-    zr, zi = res.zscores
-    assert zr <= 5 and zi <= 5
+    rep = _texp2(4000, seed=6, psi="mean-field")
+    assert rep["z_re_sites_0_1_3"] <= 5 and rep["z_im_sites_0_1_3"] <= 5
 
 
-_TRIPLES = [(0, 1, 3), (0, 0, 0), (2, 5, 5)]  # a = 0 twice
+_TRIPLES = [(0, 1, 3), (0, 0, 0), (2, 5, 5)]  # a = 0 twice; texp2's triples at N = 8
 
 
 def test_second_order_residual_matches_per_trial_oracle(small_profile):
     z, trials, seed = 0.2 + 0.5j, 300, 21
-    results = second_order_residual(small_profile, z, _TRIPLES, trials, seed)
+    rep = _texp2(trials, seed)
     resid = np.empty((len(_TRIPLES), trials), dtype=complex)
     props = PropagatorSet.build(small_profile, z)
     for t in range(trials):
@@ -383,36 +392,38 @@ def test_second_order_residual_matches_per_trial_oracle(small_profile):
             theta_row = props.theta_circ_at(a, np.arange(8))
             T, lead, zm, corr = second_order_terms(ctx, theta_row, a, b1, b2)
             resid[i, t] = T - lead - zm - corr
-    assert len(results) == len(_TRIPLES)
-    for res, r in zip(results, resid):
-        assert res.trials == trials
-        assert abs(res.mean - r.mean()) <= 1e-12 * abs(r.mean())
-        assert res.stderr_re == pytest.approx(np.sqrt(r.real.var() / trials), rel=1e-12)
-        assert res.stderr_im == pytest.approx(np.sqrt(r.imag.var() / trials), rel=1e-12)
+    keys = [f"sites_{a}_{b1}_{b2}" for a, b1, b2 in _TRIPLES]
+    assert sorted(k for k in rep.metrics if k.startswith("mean_re_")) == sorted(f"mean_re_{k}" for k in keys)
+    for key, r in zip(keys, resid):
+        re, im = rep.metrics[f"mean_re_{key}"], rep.metrics[f"mean_im_{key}"]
+        assert re.n == im.n == trials
+        assert abs(complex(re.value, im.value) - r.mean()) <= 1e-12 * abs(r.mean())
+        assert re.stderr == pytest.approx(np.sqrt(r.real.var() / trials), rel=1e-12)
+        assert im.stderr == pytest.approx(np.sqrt(r.imag.var() / trials), rel=1e-12)
 
 
-def test_second_order_residual_same_for_any_worker_count(small_profile):
-    one = second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 300, seed=4, workers=1)
-    two = second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 300, seed=4, workers=2)
-    assert one == two
+def test_second_order_residual_same_for_any_worker_count():
+    one = _texp2(300, seed=4, workers=1)
+    two = _texp2(300, seed=4, workers=2)
+    assert one.to_json() == two.to_json()
 
 
-def test_second_order_residual_draws_and_inverts_each_trial_once(small_profile, monkeypatch):
+def test_second_order_residual_draws_and_inverts_each_trial_once(monkeypatch):
     draws, inverted = [], []
-    sample = spectral.sample_band_batch
-    block_inv = spectral._block_inv
+    sample = harness.sample_band_batch
+    invert = harness.resolvent_stack
 
     def counting_sample(prof, seed, t0, t1):
         draws.extend(range(t0, t1))
         return sample(prof, seed, t0, t1)
 
-    def counting_inv(a):
+    def counting_inv(a, z, what):
         inverted.append(a.shape[0])
-        return block_inv(a)
+        return invert(a, z, what)
 
-    monkeypatch.setattr(spectral, "sample_band_batch", counting_sample)
-    monkeypatch.setattr(spectral, "_block_inv", counting_inv)
-    second_order_residual(small_profile, 0.2 + 0.5j, _TRIPLES, 200, seed=8)
+    monkeypatch.setattr(harness, "sample_band_batch", counting_sample)
+    monkeypatch.setattr(harness, "resolvent_stack", counting_inv)
+    _texp2(200, seed=8)
     assert sorted(draws) == list(range(200))
     assert sum(inverted) == 200
 
@@ -422,30 +433,11 @@ def test_texp2_chunk_peak_memory_is_one_stack_and_blocks():
     # of about 2^16 entries, so beside the chunk's stack of draws (which
     # becomes the stack of resolvents) only block-sized temporaries are live
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 128))
-    z = 0.2 + 0.5j
-    theta_rows = prof.lattice.kernel_matrix(theta_circ(prof, z), [a for a, _, _ in _TRIPLES])
-    args = (prof, z, _TRIPLES, theta_rows, 5, 0, 64)
-    peak = _traced_peak(lambda: spectral._residual_chunk(args))
+    config = ExperimentConfig("texp2", d=1, L=128, W=4.0, E=0.2, eta=(0.5,), seed=5)
+    theta_rows = prof.lattice.kernel_matrix(theta_circ(prof, config.z()), [a for a, _, _ in _TRIPLES])
+    args = (config, prof, _TRIPLES, theta_rows, 0, 64)
+    peak = _traced_peak(lambda: harness._texp2_chunk(args))
     assert peak <= 1.3 * 64 * 16 * 128**2, peak / (64 * 16 * 128**2)
-
-
-@pytest.mark.parametrize("sites", [[(-1, 0, 0)], [(0, 1, 8)], [(0, 1)], []])
-def test_second_order_residual_rejects_sites_off_the_lattice(small_profile, sites):
-    with pytest.raises(ParameterError):
-        second_order_residual(small_profile, 0.2 + 0.5j, sites, 100, seed=1)
-
-
-def test_chunk_moments_merge_stably_under_a_common_offset():
-    rng = np.random.default_rng(9)
-    x = 1e8 + rng.standard_normal(1000) + 1j * (-3e8 + 2.0 * rng.standard_normal(1000))
-    parts = [spectral._moments(x[a:b]) for a, b in ((0, 1), (1, 300), (300, 1000))]
-    n, mean, m2 = parts[0]
-    for p in parts[1:]:
-        n, mean, m2 = spectral._merge_moments((n, mean, m2), p)
-    assert n == x.size
-    assert mean == pytest.approx(x.mean(), rel=1e-15)
-    assert m2[0] / n == pytest.approx(np.var(x.real), rel=1e-9)
-    assert m2[1] / n == pytest.approx(np.var(x.imag), rel=1e-9)
 
 
 def test_eigensolve_examples():
