@@ -5,14 +5,10 @@ r"""Command line front end.
         --format csv|json [--config FILE] [--workers K]
     rbm rerun --manifest PATH [--out DIR] [--workers K]
 
-Exit codes: 0 success, 2 bad input (an invalid config, a parameter out of
-range, a band W above 1e12, an --out that names a file or a path under one,
-a locallaw |E| above 1.9, a texp2 run of fewer than 100 trials, a flag the
-command does not take: rerun reruns the manifest's config as recorded, and
-only rerun takes --manifest; a kernel that is not positive, a bulk window
-too small for the gap ratio; an invalid config is refused before any
-draw), 3 capacity error, 4 numeric failure; a stdout closed early
-(rbm ... | head -1) still exits 0, as the run and its files are complete.
+Exit codes: 0 success, 2 bad input, 3 capacity error, 4 numeric failure;
+README's Command line section lists the cases.  Each error or warning is
+one line on stderr.  A stdout closed early (rbm ... | head -1) still exits
+0, as the run and its files are complete.
 --config points at a flat key=value file; the experiment and explicit
 flags win.  All values are cast by harness.cast_config.
 """
@@ -21,6 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 from .errors import CapacityError, NumericError, ParameterError, ValidationError
 from .errors import ProfilePositivityError, WindowError
@@ -56,6 +53,10 @@ def _config_from_args(args) -> ExperimentConfig:
     return cast_config(file_values, {k: v for k, v in flags.items() if v is not None})
 
 
+def _warning_line(message, *_):  # warnings.showwarning, less the source path and line
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -68,12 +69,14 @@ def main(argv=None) -> int:
         ]
         if stray:
             raise ValidationError(f"{args.experiment} does not take {', '.join(stray)}")
-        if rerun_cmd:
-            if not args.manifest:
-                raise ValidationError("rerun requires --manifest")
-            record = rerun(args.manifest, out=args.out, workers=args.workers)
-        else:
-            record = run(_config_from_args(args), workers=args.workers)
+        with warnings.catch_warnings():  # library callers keep the UserWarning
+            warnings.showwarning = _warning_line
+            if rerun_cmd:
+                if not args.manifest:
+                    raise ValidationError("rerun requires --manifest")
+                record = rerun(args.manifest, out=args.out, workers=args.workers)
+            else:
+                record = run(_config_from_args(args), workers=args.workers)
     except (ValidationError, ParameterError, ProfilePositivityError, WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -92,6 +92,7 @@ _MAX_BAND = 1e12
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _TEXP2_MIN_TRIALS = 100  # fewest trials whose standard errors the z-test trusts
 _PSI_NAMES = (*_SHAPES, "mean-field")
+_BULK_KAPPA = 0.5  # the bulk window |x| <= 2 - kappa of the gap ratios and the supnorm
 _SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
 
@@ -281,11 +282,15 @@ def _aux_master(seed: int, purpose: int) -> int:
     return seed_substream(seed, 2**40 + purpose)
 
 
+def _map_trials(fn, trials: int, workers: int, *shared):
+    """[fn((*shared, t0, t1)) for each chunk [t0, t1) of range(trials)], in chunk order."""
+    return _map_chunks(fn, [(*shared, t0, t1) for t0, t1 in _chunk_ranges(trials)], workers)
+
+
 # --- experiments ----------------------------------------------------------
 
 
-def _exp_profile(config, workers):
-    prof = _profile_for(config)
+def _exp_profile(report, config, prof, workers):
     lat = prof.lattice
     kern = prof.kernel_fft
     sym_err = float(np.max(np.abs(kern - lat.reflect(kern))))
@@ -293,7 +298,6 @@ def _exp_profile(config, workers):
     lam_rest = np.delete(lam, 0)
     gap = 1.0 - float(lam_rest.max()) if lam_rest.size else 1.0
 
-    report = StatReport("profile", params=_params(config))
     report.add("row_sum_error", abs(kern.sum() - 1.0), "|sum_x f(x) - 1|")
     report.add("kernel_min", kern.min(), "min_x f(x)")
     report.add("kernel_symmetry_error", sym_err, "max_x |f(x) - f(-x)|")
@@ -302,9 +306,7 @@ def _exp_profile(config, workers):
     report.add("symbol_max_rest", float(lam_rest.max()), "max_{k!=0} lambda_k")
     report.add("symbol_min", float(lam.min()), "min_k lambda_k")
     report.add("spectral_gap", gap, "1 - max_{k!=0} lambda_k")
-    report.add(
-        "gap_over_WL_sq", gap / (config.W / config.L) ** 2, "spectral gap / (W/L)^2"
-    )
+    report.add("gap_over_WL_sq", gap / (prof.W / config.L) ** 2, "spectral gap / (W/L)^2")
     report.add(
         "band_mass_tau_0.5",
         band_truncation_mass(prof, 0.5),
@@ -312,12 +314,10 @@ def _exp_profile(config, workers):
     )
     report.tables["kernel"] = site_table(lat, kern, "x", "f")
     report.tables["symbol"] = site_table(lat, prof.symbol_fft, "k", "lambda")
-    return report
 
 
 def _ward_chunk(args):
-    config, t0, t1 = args
-    prof = _profile_for(config)
+    config, prof, t0, t1 = args
     rng = substream_rng(_aux_master(config.seed, 1), t0)
     z = config.z()
     n = prof.lattice.N
@@ -337,11 +337,8 @@ def _ward_chunk(args):
     return worst, worst_scaled, worst_zm, worst_sentinel
 
 
-def _exp_wardcheck(config, workers):
-    parts = _map_chunks(
-        _ward_chunk, [(config, a, b) for a, b in _chunk_ranges(config.trials)], workers
-    )
-    report = StatReport("wardcheck", params=_params(config))
+def _exp_wardcheck(report, config, prof, workers):
+    parts = _map_trials(_ward_chunk, config.trials, workers, config, prof)
     report.add(
         "max_residual",
         max(p[0] for p in parts),
@@ -363,7 +360,6 @@ def _exp_wardcheck(config, workers):
     report.add(
         "max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, config.trials
     )
-    return report
 
 
 def _texp2_chunk(args):
@@ -377,18 +373,12 @@ def _texp2_chunk(args):
     return dev, [_moments(r) for r in T - lead - zm - corr]
 
 
-def _exp_texp2(config, workers):
+def _exp_texp2(report, config, prof, workers):
     # the residual T - leading - zero_mode - correction has mean zero: a z-test per triple
-    prof = _profile_for(config)
     lat = prof.lattice
     triples = [s for s in _TEXP2_SITES if max(s) < lat.N] or [(0, 0, 0)]
     theta_rows = lat.kernel_matrix(theta_circ(prof, config.z()), [a for a, _, _ in triples])
-    parts = _map_chunks(
-        _texp2_chunk,
-        [(config, prof, triples, theta_rows, t0, t1) for t0, t1 in _chunk_ranges(config.trials)],
-        workers,
-    )
-    report = StatReport("texp2", params=_params(config))
+    parts = _map_trials(_texp2_chunk, config.trials, workers, config, prof, triples, theta_rows)
     worst_z = 0.0
     for i, (a, b1, b2) in enumerate(triples):
         n, mean, m2 = functools.reduce(_merge_moments, (p[i] for _, p in parts))
@@ -403,15 +393,12 @@ def _exp_texp2(config, workers):
         worst_z = max(worst_z, zr, zi)
     report.add("max_zscore", worst_z, "largest componentwise z-score; pass iff <= 5")
     report.add("max_ward_sentinel_dev", max(dev for dev, _ in parts), _SENTINEL_DEF, config.trials)
-    return report
 
 
-def _exp_propcheck(config, workers):
-    prof = _profile_for(config)
+def _exp_propcheck(report, config, prof, workers):
     lat = prof.lattice
     n = lat.N
     rng = substream_rng(_aux_master(config.seed, 2), 0)
-    report = StatReport("propcheck", params=_params(config))
     gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0, "s_minus": 0.0}
     const_dev = 0.0
     sum_dev = 0.0
@@ -432,7 +419,6 @@ def _exp_propcheck(config, workers):
         report.add(f"max_gap_{k}", v, f"max |dense - FFT| for {k} over 5 random z", 5)
     report.add("max_theta_shift_dev", const_dev, "max |(theta - theta_circ) - Im m/(N eta)|", 5)
     report.add("max_theta_circ_sum", sum_dev, "max |sum_x theta_circ(x)|", 5)
-    return report
 
 
 def _locallaw_draw(args):
@@ -453,14 +439,12 @@ def _locallaw_draw(args):
     return out
 
 
-def _exp_locallaw(config, workers):
-    # one task per draw, not _chunk_ranges: a few heavy draws would all land
+def _exp_locallaw(report, config, prof, workers):
+    # one task per draw, not _map_trials: a few heavy draws would all land
     # in one serial chunk
-    prof = _profile_for(config)
     draws = _map_chunks(
         _locallaw_draw, [(config, prof, t) for t in range(config.trials)], workers
     )
-    report = StatReport("locallaw", params=_params(config))
     report.add(
         "ks_distance",
         draws[0]["ks"],
@@ -502,44 +486,39 @@ def _exp_locallaw(config, workers):
         ["distance", "max_ratio"],
         [[s, v] for s, v in enumerate(shell_max, start=1)],
     )
-    return report
 
 
 def _gap_ratio_chunk(args):
     # all band draws before all GUE draws, the order of one pass per ensemble
-    config, t0, t1 = args
-    prof = _profile_for(config)
+    config, prof, t0, t1 = args
     band = []
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
         if config.flow_time > 0:
             sample = ou_evolve(sample, config.flow_time, prof, _aux_master(config.seed, 3), t)
-        band.append(gap_ratio_mean(eigenvalues(sample), kappa=0.5))
+        band.append(gap_ratio_mean(eigenvalues(sample), kappa=_BULK_KAPPA))
     gue = [
-        gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=0.5)
+        gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=_BULK_KAPPA)
         for t in range(t0, t1)
     ]
     return band, gue
 
 
-def _exp_universality(config, workers):
-    parts = _map_chunks(
-        _gap_ratio_chunk, [(config, a, b) for a, b in _chunk_ranges(config.trials)], workers
-    )
+def _exp_universality(report, config, prof, workers):
+    parts = _map_trials(_gap_ratio_chunk, config.trials, workers, config, prof)
     band = [v for p in parts for v in p[0]]
     gue = [v for p in parts for v in p[1]]
     rng = substream_rng(_aux_master(config.seed, 5), 0)
     poisson = [
-        gap_ratio_mean(np.sort(rng.uniform(-2, 2, 10_000)), kappa=0.5)
+        gap_ratio_mean(np.sort(rng.uniform(-2, 2, 10_000)), kappa=_BULK_KAPPA)
         for _ in range(10)
     ]
-    report = StatReport("universality", params=_params(config))
     for name, vals in (("band", band), ("gue", gue), ("poisson", poisson)):
         arr = np.asarray(vals)
         report.add(
             f"{name}_gap_ratio_mean",
             arr.mean(),
-            f"mean bulk gap ratio, {name} ensemble (kappa=0.5)",
+            f"mean bulk gap ratio, {name} ensemble (kappa={_BULK_KAPPA})",
             arr.size,
             float(arr.std(ddof=1) / np.sqrt(arr.size)),
         )
@@ -555,7 +534,6 @@ def _exp_universality(config, workers):
         "|GUE mean - Poisson oracle mean|; must stay separated",
         config.trials,
     )
-    return report
 
 
 def _que_chunk(args):
@@ -563,8 +541,7 @@ def _que_chunk(args):
     # also eigendecomposed, and G is not built from spec, so the overlap
     # check's spectral trace checks one factorization against the other;
     # each factorization takes its own draw of trial t
-    config, pi, t0, t1 = args
-    prof = _profile_for(config)
+    config, prof, pi, t0, t1 = args
     z = config.z()
     traces = np.empty(t1 - t0)
     worst_rel = sentinel = supnorm = 0.0
@@ -580,22 +557,18 @@ def _que_chunk(args):
             worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
             holds += ok
             try:
-                supnorm = max(supnorm, deloc_supnorm(spec, kappa=0.5))
+                supnorm = max(supnorm, deloc_supnorm(spec, kappa=_BULK_KAPPA))
             except WindowError:
                 pass  # no bulk eigenvalue in this draw: it adds nothing
             del spec  # free the eigenvectors before the next draw's inverse
     return traces, worst_rel, holds, sentinel, supnorm
 
 
-def _exp_que(config, workers):
-    prof = _profile_for(config)
+def _exp_que(report, config, prof, workers):
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
     draws = max(QUE_BOUND_MIN_DRAWS, config.trials)
-    parts = _map_chunks(
-        _que_chunk, [(config, pi, a, b) for a, b in _chunk_ranges(draws)], workers
-    )
+    parts = _map_trials(_que_chunk, draws, workers, config, prof, pi)
     mean, se, bound = que_bound_ratio(np.concatenate([p[0] for p in parts]), prof, pi)
-    report = StatReport("que", params=_params(config))
     report.add(
         "trace_rel_gap_max",
         max(p[1] for p in parts),
@@ -610,11 +583,13 @@ def _exp_que(config, workers):
     )
     supnorm = max(p[4] for p in parts)
     if supnorm == 0.0:  # a unit eigenvector has max_x |u_x|^2 >= 1/N
-        raise WindowError("no eigendecomposed draw has an eigenvalue in the bulk window |x| <= 1.5")
+        raise WindowError(
+            f"no eigendecomposed draw has an eigenvalue in the bulk window |x| <= {2 - _BULK_KAPPA}"
+        )
     report.add(
         "max_bulk_supnorm",
         supnorm,
-        "max over draws and bulk eigenvectors (|lambda| <= 1.5) of max_x |u_x|^2",
+        f"max over draws and bulk eigenvectors (|lambda| <= {2 - _BULK_KAPPA}) of max_x |u_x|^2",
         config.trials,
     )
     report.add(
@@ -625,7 +600,7 @@ def _exp_que(config, workers):
     )
     report.add(
         "bulk_supnorm_paper_ratio",
-        supnorm / (config.W**-5.0 * config.L ** (5.0 - config.d)),
+        supnorm / (prof.W**-5.0 * config.L ** (5.0 - config.d)),
         "max_bulk_supnorm / (W^-5 L^(5-d)); report-only: the bound is proved for d >= 7",
         config.trials,
     )
@@ -636,10 +611,9 @@ def _exp_que(config, workers):
     report.add("bound_ratio", mean / bound, "trace_mean_abs / bound_scale", draws)
     report.add("bound_ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
     report.add("max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, draws)
-    return report
 
 
-def _exp_graph(config, workers):
+def _exp_graph(report, config, prof, workers):
     from .graphs import (
         Atom,
         AtomicGraph,
@@ -653,7 +627,6 @@ def _exp_graph(config, workers):
         standard_bindings,
     )
 
-    prof = _profile_for(config)
     n = prof.lattice.N
     z = config.z()
     props = PropagatorSet.build(prof, z)
@@ -694,23 +667,19 @@ def _exp_graph(config, workers):
     ]
     dc_ok = all(is_doubly_connected(g)[0] == want for g, want in dc_cases)
 
-    report = StatReport("graph", params=_params(config))
     report.add("eval_gap_t_three", gap_t3, "|evaluate(t_three graph) - t_three|")
     report.add("eval_gap_expansion", gap_exp, "|sum of expansion graph values - spectral terms|")
     report.add("scaling_orders_ok", float(orders_ok), "1 if hand-derived orders match")
     report.add("doubly_connected_ok", float(dc_ok), "1 if the built-in truth table matches")
     report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
-    return report
 
 
-def _exp_pgon(config, workers):
-    prof = _profile_for(config)
+def _exp_pgon(report, config, prof, workers):
     n = prof.lattice.N
     z = config.z()
     ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
     value, scale = pgon_average(ctx, np.arange(n), 2, "+-")
     ward_form = float(np.sum(np.imag(np.diagonal(ctx.G)))) / (n**2 * z.imag)
-    report = StatReport("pgon", params=_params(config))
     report.add("value_re", value.real, "2-gon average, real part")
     report.add("value_im", value.imag, "2-gon average, imag part")
     report.add("comparison_scale", scale, "concentration scale g(K, W, eta)^(p-1)")
@@ -720,9 +689,9 @@ def _exp_pgon(config, workers):
         "|2-gon average - (N eta)^-1 N^-1 sum Im G_yy|",
     )
     report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
-    return report
 
 
+# experiment -> fn(report, config, prof, workers), which fills the report run made
 _DISPATCH = {
     "profile": _exp_profile,
     "wardcheck": _exp_wardcheck,
@@ -774,14 +743,17 @@ def _require_finite(report: StatReport):
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
-    """Validate, dispatch, persist.  Deterministic for any worker count."""
+    """Validate; build the run's one profile and report; let the experiment
+    fill the report; persist.  Deterministic for any worker count."""
     if workers < 1:
         raise ValidationError(f"workers={workers} must be >= 1")
     # a config built in code is cast too, so its manifest reruns byte for byte
     config = cast_config(dataclasses.asdict(config))
     _validate(config)
     t0 = time.perf_counter()
-    report = _DISPATCH[config.experiment](config, workers)
+    prof = _profile_for(config)
+    report = StatReport(config.experiment, params=_params(config))
+    _DISPATCH[config.experiment](report, config, prof, workers)
     wall = time.perf_counter() - t0
     _require_finite(report)
     record = ResultRecord(config, report, wall, __version__)

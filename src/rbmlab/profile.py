@@ -177,12 +177,8 @@ def mean_field_profile(lat: TorusLattice) -> VarianceProfile:
     return VarianceProfile(lat, float(lat.L), "mean-field", kern, symbol, 1.0)
 
 
-def band_truncation_mass(prof: VarianceProfile, tau: float, W: float | None = None) -> float:
-    """Total kernel mass at distances >= W^(1+tau) (worst row = any row).
-
-    W defaults to the profile's band width; pass it explicitly to measure
-    profiles without an intrinsic scale (e.g. mean-field).
-    """
-    cutoff = (prof.W if W is None else W) ** (1.0 + tau)
+def band_truncation_mass(prof: VarianceProfile, tau: float) -> float:
+    """Total kernel mass at distances >= W^(1+tau) (worst row = any row)."""
+    cutoff = prof.W ** (1.0 + tau)
     mask = prof.lattice.distance_fft >= cutoff
     return float(prof.kernel_fft[mask].sum())

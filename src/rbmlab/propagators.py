@@ -89,14 +89,12 @@ class PropagatorSet:
         return self._tc_flat[self.lattice.diff_flat(i, j)]
 
 
-def b_profile(lat: TorusLattice, W: float, x, y, d: int | None = None) -> float:
+def b_profile(lat: TorusLattice, W: float, x, y) -> float:
     """Diffusive decay profile W^{-2} (||x-y|| + W)^{2-d} at coordinates x, y."""
     if W < 1:
         raise ParameterError(f"band width W must be >= 1, got {W}")
-    if d is None:
-        d = lat.d
     dist = torus_distance(x, y, lat)
-    return float(W ** (-2.0) * (dist + W) ** (2.0 - d))
+    return float(W ** (-2.0) * (dist + W) ** (2.0 - lat.d))
 
 
 def b_kernel(lat: TorusLattice, W: float) -> np.ndarray:

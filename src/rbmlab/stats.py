@@ -86,16 +86,10 @@ def semicircle_cdf(x) -> np.ndarray:
     return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
 
 
-def _eigenvalues_of(spec_or_eigs) -> np.ndarray:
-    if isinstance(spec_or_eigs, SpectralData):
-        return np.sort(spec_or_eigs.eigenvalues)
-    return np.sort(np.asarray(spec_or_eigs, dtype=float))
-
-
-def semicircle_distance(spec) -> float:
-    """Kolmogorov-Smirnov distance between the empirical spectral CDF and
-    the semicircle CDF on [-2, 2]."""
-    lam = _eigenvalues_of(spec)
+def semicircle_distance(eigs) -> float:
+    """Kolmogorov-Smirnov distance between the empirical CDF of the
+    eigenvalues eigs and the semicircle CDF on [-2, 2]."""
+    lam = np.sort(np.asarray(eigs, dtype=float))
     n = lam.size
     if n < 16:
         raise ParameterError(f"need at least 16 eigenvalues, got {n}")
@@ -239,11 +233,11 @@ def overlap_bound_check(spec: SpectralData, z: complex, pi: TestDiagonal, l: flo
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-8), trace
 
 
-def gap_ratio_mean(spec, kappa: float) -> float:
+def gap_ratio_mean(eigs, kappa: float) -> float:
     """Mean consecutive-gap ratio min(d_i, d_{i+1}) / max(d_i, d_{i+1})
-    over bulk eigenvalues |lambda| <= 2 - kappa.  Zero spacings from exact
-    degeneracies are discarded."""
-    lam = _eigenvalues_of(spec)
+    over bulk eigenvalues |lambda| <= 2 - kappa of eigs.  Zero spacings
+    from exact degeneracies are discarded."""
+    lam = np.sort(np.asarray(eigs, dtype=float))
     gaps = np.diff(lam)
     center = lam[1:-1]
     g1, g2 = gaps[:-1], gaps[1:]

@@ -13,7 +13,6 @@ from rbmlab import _lapack, cli, harness
 from rbmlab.errors import CapacityError, ValidationError
 from rbmlab.harness import (
     ExperimentConfig,
-    StatReport,
     load_manifest,
     parse_config_file,
     rerun,
@@ -241,6 +240,17 @@ def test_que_bound_averages_the_trace_draws(monkeypatch):
     assert rep.metrics["max_ward_sentinel_dev"].n == 20
 
 
+def test_mean_field_metrics_read_the_profile_band_not_the_flag():
+    # the mean-field profile has W = L whatever --band says, and so do its metrics
+    def metric(experiment, key, W, **kw):
+        return run(ExperimentConfig(experiment, L=8, W=W, psi="mean-field", **kw)).report[key]
+
+    gap = [metric("profile", "gap_over_WL_sq", w, d=1) for w in (2.0, 8.0)]
+    assert gap == [1.0, 1.0]
+    ratio = [metric("que", "bulk_supnorm_paper_ratio", w, d=2, trials=2) for w in (2.0, 8.0)]
+    assert ratio[0] == ratio[1] > 0
+
+
 def test_que_two_chunks_match_across_worker_counts():
     cfg = ExperimentConfig("que", d=1, L=16, W=2.0, E=0.2, eta=(0.5,), trials=70, seed=6)
     one = run(cfg, workers=1).report
@@ -260,7 +270,7 @@ def test_universality_experiment_with_flow():
         ou_evolve(sample_band(prof, 5, t), 0.5, prof, harness._aux_master(5, 3), t)
         for t in range(2)
     ]
-    want = np.mean([gap_ratio_mean(eigensolve(s), kappa=0.5) for s in band])
+    want = np.mean([gap_ratio_mean(eigensolve(s).eigenvalues, kappa=0.5) for s in band])
     assert abs(rec.report["band_gap_ratio_mean"] - want) <= 1e-12
     # the GUE oracle is the tridiagonal-model spectrum of its own substream
     gue = [gue_eigenvalues(80, harness._aux_master(5, 4), t) for t in range(2)]
@@ -373,6 +383,13 @@ def test_cli_exits_0_when_the_reader_closes_stdout_early():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_band_wrap_warning_is_one_line(workers):
+    res = _run_cli("texp2", "--dim", "1", "--size", "2", "--band", "1", "--trials", "130", "--workers", workers)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "warning: L=2 <= 2W=2.0: band wraps around the torus\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -396,7 +413,7 @@ def test_out_that_names_a_file_exits_2_before_the_run(tmp_path, monkeypatch, und
     blocker.write_text("kept\n")
     out = blocker / "run" if under else blocker
     # no experiment may start: the check comes before any draw
-    monkeypatch.setitem(harness._DISPATCH, "profile", lambda config, workers: pytest.fail("ran"))
+    monkeypatch.setitem(harness._DISPATCH, "profile", lambda report, config, prof, workers: pytest.fail("ran"))
     for args in (
         ["profile", "--dim", "1", "--size", "8", "--out", str(out)],
         ["rerun", "--manifest", str(src / "manifest.json"), "--out", str(out)],
@@ -417,7 +434,7 @@ def test_flags_a_command_does_not_take_exit_2_before_the_run(tmp_path, monkeypat
     cfg.write_text("trials=50\n")
     capsys.readouterr()
     for name in ("profile", "locallaw"):
-        monkeypatch.setitem(harness._DISPATCH, name, lambda config, workers: pytest.fail("ran"))
+        monkeypatch.setitem(harness._DISPATCH, name, lambda report, config, prof, workers: pytest.fail("ran"))
     for args, stray in (
         (["rerun", "--manifest", manifest, "--trials", "50", "--dim", "2"], "--dim, --trials"),
         (["rerun", "--manifest", manifest, "--config", str(cfg)], "--config"),
@@ -456,11 +473,9 @@ def test_output_files_take_the_umask_mode(tmp_path, mask, mode):
 
 @pytest.mark.parametrize("value,stderr", [(float("nan"), None), (1.0, float("inf"))])
 def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys, value, stderr):
-    def nan_experiment(config, workers):
-        report = StatReport("profile")
+    def nan_experiment(report, config, prof, workers):
         report.add("ok", 1.0, "finite", stderr=0.1)
         report.add("broken", value, "not finite", stderr=stderr)
-        return report
 
     monkeypatch.setitem(harness._DISPATCH, "profile", nan_experiment)
     out = tmp_path / "nan"

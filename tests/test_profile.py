@@ -112,8 +112,6 @@ def test_mean_field_profile():
 
 
 def test_band_truncation_mass_examples():
-    mf = mean_field_profile(TorusLattice(1, 8))
-    assert band_truncation_mass(mf, 0.1, W=2.0) == pytest.approx(3.0 / 8.0)
     prof = build_profile(get_shape("gaussian"), 4.0, TorusLattice(1, 64))
     # direct-summation oracle: the cutoff W^(1+tau) sits at (W^tau) sigma for
     # this gaussian, so tau=0.5 is a 2-sigma tail and tau=1.3 a ~6-sigma one

@@ -128,6 +128,17 @@ def test_only_harness_builds_stat_reports():
     assert builders == {"harness"}, f"StatReport built outside harness: {sorted(builders - {'harness'})}"
 
 
+def test_only_run_builds_the_profile_and_the_report():
+    # harness.run builds each run's one profile and report; experiments and chunks take them
+    calls = sorted(
+        (getattr(node, "name", "<module>"), n.func.id)
+        for node in _trees()["harness"].body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("_profile_for", "StatReport")
+    )
+    assert calls == [("run", "StatReport"), ("run", "_profile_for")], calls
+
+
 def test_only_harness_maps_trials():
     # one trial map/reduce: harness alone chunks trials, maps the chunks and reduces them
     mappers = {

@@ -49,9 +49,9 @@ def test_semicircle_cdf_endpoints():
 
 def test_semicircle_distance_examples():
     spec = eigensolve(_fixed(np.zeros((32, 32))))
-    assert semicircle_distance(spec) == pytest.approx(0.5)
+    assert semicircle_distance(spec.eigenvalues) == pytest.approx(0.5)
     gue = eigensolve(sample_gue(400, 5, 0))
-    d = semicircle_distance(gue)
+    d = semicircle_distance(gue.eigenvalues)
     assert 0.0 <= d <= 0.08
     with pytest.raises(ParameterError):
         semicircle_distance(np.zeros(8))
@@ -67,7 +67,7 @@ def test_gap_ratio_examples(rng):
     ]
     assert abs(np.mean(vals) - (2 * np.log(2) - 1)) < 0.01
     # GUE mean sits well above Poisson
-    gue = gap_ratio_mean(eigensolve(sample_gue(400, 6, 0)), kappa=0.5)
+    gue = gap_ratio_mean(eigensolve(sample_gue(400, 6, 0)).eigenvalues, kappa=0.5)
     assert gue - np.mean(vals) > 0.15
     assert 0.0 <= gue <= 1.0
     with pytest.raises(WindowError):
