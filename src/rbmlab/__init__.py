@@ -53,7 +53,6 @@ from .stats import (
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    pgon_average,
     que_bound_ratio,
     que_trace,
     semicircle_distance,

@@ -63,7 +63,6 @@ from .stats import (
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    pgon_average,
     que_bound_ratio,
     que_trace,
     semicircle_distance,
@@ -85,7 +84,7 @@ __all__ = [
 ]
 
 _DENSE_N_CAP = 8192
-# Metrics scale by W**-5 (que), W**4 (pgon) and (W/L)**2 (profile); at W = 1e12 these
+# Metrics scale by W**-5 (que) and (W/L)**2 (profile); at W = 1e12 these
 # stay within 1e60 of 1, far inside float64's range, while W**-5 underflows to 0
 # near W = 1e65.  A band this wide already spans every lattice (L <= 2**30).
 _MAX_BAND = 1e12
@@ -621,8 +620,6 @@ def _exp_graph(report, config, prof, workers):
         Edge,
         EdgeKind,
         evaluate,
-        is_doubly_connected,
-        scaling_order,
         second_order_graphs,
         standard_bindings,
     )
@@ -655,39 +652,8 @@ def _exp_graph(report, config, prof, workers):
     )
     gap_exp = abs(total - (lead + zm + corr))
 
-    orders_ok = [scaling_order(g) for g in graphs] == [3, 0, 3, 3] and scaling_order(
-        t3_graph
-    ) == 2
-
-    two = (Atom(0, True), Atom(1, True))
-    dc_cases = [
-        (AtomicGraph(two, (Edge(0, 1, EdgeKind.DIFFUSIVE), Edge(0, 1, EdgeKind.DIFFUSIVE))), True),
-        (AtomicGraph(two, (Edge(0, 1, EdgeKind.DIFFUSIVE), Edge(0, 1, EdgeKind.FREE))), True),
-        (AtomicGraph(two, (Edge(0, 1, EdgeKind.DIFFUSIVE),)), False),
-    ]
-    dc_ok = all(is_doubly_connected(g)[0] == want for g, want in dc_cases)
-
     report.add("eval_gap_t_three", gap_t3, "|evaluate(t_three graph) - t_three|")
     report.add("eval_gap_expansion", gap_exp, "|sum of expansion graph values - spectral terms|")
-    report.add("scaling_orders_ok", float(orders_ok), "1 if hand-derived orders match")
-    report.add("doubly_connected_ok", float(dc_ok), "1 if the built-in truth table matches")
-    report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
-
-
-def _exp_pgon(report, config, prof, workers):
-    n = prof.lattice.N
-    z = config.z()
-    ctx = resolvent(sample_band(prof, config.seed, 0), z, prof, check=False)
-    value, scale = pgon_average(ctx, np.arange(n), 2, "+-")
-    ward_form = float(np.sum(np.imag(np.diagonal(ctx.G)))) / (n**2 * z.imag)
-    report.add("value_re", value.real, "2-gon average, real part")
-    report.add("value_im", value.imag, "2-gon average, imag part")
-    report.add("comparison_scale", scale, "concentration scale g(K, W, eta)^(p-1)")
-    report.add(
-        "ward_gap",
-        abs(value - ward_form),
-        "|2-gon average - (N eta)^-1 N^-1 sum Im G_yy|",
-    )
     report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
 
 
@@ -701,15 +667,15 @@ _DISPATCH = {
     "universality": _exp_universality,
     "que": _exp_que,
     "graph": _exp_graph,
-    "pgon": _exp_pgon,
 }
 
 EXPERIMENTS = tuple(_DISPATCH)
 
 
-def _params(config: ExperimentConfig) -> dict:
+def _params(config: ExperimentConfig, prof) -> dict:
     d = dataclasses.asdict(config)
     d.pop("out")  # volatile; lives in the manifest, not in the metrics
+    d["W"] = prof.W  # the band the metrics read: L at mean-field, whatever --band says
     return d
 
 
@@ -752,7 +718,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     _validate(config)
     t0 = time.perf_counter()
     prof = _profile_for(config)
-    report = StatReport(config.experiment, params=_params(config))
+    report = StatReport(config.experiment, params=_params(config, prof))
     _DISPATCH[config.experiment](report, config, prof, workers)
     wall = time.perf_counter() - t0
     _require_finite(report)

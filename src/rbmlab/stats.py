@@ -1,6 +1,5 @@
 """Spectral statistics: semicircle distance, local-law ratios,
-delocalization, equidistribution traces and bounds, gap ratios and polygon
-averages.
+delocalization, equidistribution traces and bounds and gap ratios.
 
 Reference values for comparisons (GUE, Poisson) are always produced by
 sampling oracles inside the same run; no literature constants enter any
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError,
     ContractError,
     InsufficientSamplesError,
     ParameterError,
@@ -35,12 +33,9 @@ __all__ = [
     "que_bound_ratio",
     "overlap_bound_check",
     "gap_ratio_mean",
-    "pgon_average",
-    "g_comparison",
 ]
 
 _TRACE_TOL = 1e-10
-PGON_TERM_CAP = 10**8
 QUE_BOUND_MIN_DRAWS = 20  # fewest traces que_bound_ratio averages
 LOCAL_LAW_MAX_E = 1.9  # largest |E| local_law_ratios admits: the bulk
 
@@ -252,43 +247,3 @@ def gap_ratio_mean(eigs, kappa: float) -> float:
     r = np.minimum(g1, g2)[nz] / hi[nz]
     return float(r.mean())
 
-
-def pgon_average(ctx: ResolventContext, sites, p: int, signs) -> tuple:
-    """Cyclic resolvent-chain average over a site subset:
-    |I|^{-p} sum_{x_1..x_p in I} prod_i G^{s_i}_{x_i x_{i+1}} with
-    x_{p+1} = x_1 and G^- the conjugate transpose.
-
-    Returns (value, scale) with the dimensionless comparison scale
-    g_comparison(K, W, eta)^{p-1}, K = |I|^{1/d}.
-    """
-    sites = np.asarray(sites, dtype=int)
-    if sites.size < 2 or p < 2:
-        raise ParameterError("need |I| >= 2 and p >= 2")
-    if len(signs) != p:
-        raise ContractError(f"signs has length {len(signs)}, expected p={p}")
-    if float(sites.size) ** p > PGON_TERM_CAP:
-        raise CapacityError(f"|I|^p exceeds cap {PGON_TERM_CAP}")
-    sub = ctx.G[np.ix_(sites, sites)]
-    mats = [sub if s in (1, "+") else sub.conj().T for s in signs]
-    prod = mats[0]
-    for mat in mats[1:]:
-        prod = prod @ mat
-    value = complex(np.trace(prod) / sites.size**p)
-    K = sites.size ** (1.0 / ctx.lattice.d)
-    scale = g_comparison(K, ctx.profile.W, ctx.eta, ctx.lattice) ** (p - 1)
-    return value, float(scale)
-
-
-def g_comparison(K: float, W: float, eta: float, lat: TorusLattice) -> float:
-    """Concentration scale for chain averages over boxes of side K."""
-    d = lat.d
-    N = lat.N
-    L = lat.L
-    inv_neta = 1.0 / (N * eta)
-    first = (
-        1.0 / (W**2 * K ** (d - 2))
-        + inv_neta
-        + K ** (-d / 2.0) * np.sqrt(inv_neta * L**2 / W**2)
-    )
-    second = 1.0 / (W**4 * K ** (d - 4)) + inv_neta * L**2 / W**2
-    return float(np.sqrt(first * second))

@@ -240,14 +240,21 @@ def test_que_bound_averages_the_trace_draws(monkeypatch):
     assert rep.metrics["max_ward_sentinel_dev"].n == 20
 
 
-def test_mean_field_metrics_read_the_profile_band_not_the_flag():
-    # the mean-field profile has W = L whatever --band says, and so do its metrics
-    def metric(experiment, key, W, **kw):
-        return run(ExperimentConfig(experiment, L=8, W=W, psi="mean-field", **kw)).report[key]
-
-    gap = [metric("profile", "gap_over_WL_sq", w, d=1) for w in (2.0, 8.0)]
-    assert gap == [1.0, 1.0]
-    ratio = [metric("que", "bulk_supnorm_paper_ratio", w, d=2, trials=2) for w in (2.0, 8.0)]
+def test_mean_field_metrics_read_the_profile_band_not_the_flag(tmp_path):
+    # the mean-field profile has W = L whatever --band says, and so do its
+    # metrics and params: --band changes no byte of metrics.json
+    outs = [tmp_path / band for band in ("2", "8")]
+    for out in outs:
+        args = ["profile", "--dim", "1", "--size", "8", "--psi", "mean-field", "--band", out.name]
+        assert cli.main([*args, "--out", str(out)]) == 0
+    a, b = ((out / "metrics.json").read_bytes() for out in outs)
+    assert a == b
+    rec = json.loads(a)
+    assert rec["params"]["W"] == 8.0 and rec["metrics"]["gap_over_WL_sq"]["value"] == 1.0
+    ratio = [
+        run(ExperimentConfig("que", d=2, L=8, W=w, psi="mean-field", trials=2)).report["bulk_supnorm_paper_ratio"]
+        for w in (2.0, 8.0)
+    ]
     assert ratio[0] == ratio[1] > 0
 
 
@@ -352,7 +359,6 @@ def test_cli_success_and_exit_codes(tmp_path):
         ["profile", "--band", "inf"],
         ["profile", "--band", "1e100"],  # finite, but (W/L)**2 overflows near 1e154
         ["que", "--band", "1e100", "--trials", "1"],  # W**-5 underflows to 0
-        ["pgon", "--band", "1e100"],  # W**4 overflows
         ["wardcheck", "--eta", "0.1,inf", "--trials", "2"],
     ):
         bad = tmp_path / args[0]
@@ -484,7 +490,7 @@ def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("experiment", ["wardcheck", "locallaw", "graph", "pgon", "texp2", "que"])
+@pytest.mark.parametrize("experiment", ["wardcheck", "locallaw", "graph", "texp2", "que"])
 def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, capsys, experiment):
     from rbmlab import spectral
 
@@ -505,7 +511,7 @@ def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, caps
 
 
 def test_resolvent_experiments_record_the_ward_sentinel():
-    for experiment in ("wardcheck", "locallaw", "graph", "pgon", "texp2", "que"):
+    for experiment in ("wardcheck", "locallaw", "graph", "texp2", "que"):
         trials = 100 if experiment == "texp2" else 2
         cfg = ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=(0.1, 0.5), trials=trials)
         assert 0.0 <= run(cfg).report["max_ward_sentinel_dev"] <= 1e-10, experiment
@@ -556,6 +562,7 @@ def _good_manifest():
 
 @pytest.mark.parametrize("defect", [
     "unknown key", "trials 2.5", "eta x", "malformed JSON", "missing file", "no config",
+    "removed experiment",
 ])
 def test_cli_rerun_bad_manifest_exits_2(tmp_path, defect):
     manifest = _good_manifest()
@@ -570,13 +577,17 @@ def test_cli_rerun_bad_manifest_exits_2(tmp_path, defect):
         text = json.dumps(manifest)[:-2]
     elif defect == "no config":
         del manifest["config"]
+    elif defect == "removed experiment":  # written by rbm pgon, which is gone
+        manifest["config"]["experiment"] = "pgon"
     path = tmp_path / "manifest.json"
     if defect != "missing file":
         path.write_text(text if text is not None else json.dumps(manifest))
     out = tmp_path / "out"
     res = _run_cli("rerun", "--manifest", str(path), "--out", str(out))
     assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    if defect == "removed experiment":
+        assert "experiment='pgon'" in res.stderr
     assert not (out / "metrics.json").exists()
 
 

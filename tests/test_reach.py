@@ -32,6 +32,9 @@ _KEPT = {
     ("propagators", "theta_circ_at"),
     # evaluate's work bound, the count the benchmark's evaluator metric should read
     ("graphs", "graph_cost"),
+    # graph calculus of acceptance criterion 6, which asserts their orders and truth table
+    ("graphs", "scaling_order"),
+    ("graphs", "is_doubly_connected"),
 }
 
 
@@ -149,3 +152,29 @@ def test_only_harness_maps_trials():
         and {getattr(n.func, "id", None), getattr(n.func, "attr", None)} & {"_map_chunks", "_chunk_ranges"}
     }
     assert mappers == {"harness"}, f"trials mapped outside harness: {sorted(mappers - {'harness'})}"
+
+
+def _exported(tree) -> set:
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the lint this suite stands in for; __init__ is exempt because it re-exports
+    unused = []
+    for mod, tree in _trees().items():
+        if mod == "__init__":
+            continue
+        imported = {
+            alias.asname or alias.name
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for alias in n.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [(mod, name) for name in sorted(imported - read - _exported(tree))]
+    assert not unused, f"imported, never read and not in __all__: {unused}"

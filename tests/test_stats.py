@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rbmlab.errors import (
-    CapacityError,
     ContractError,
     InsufficientSamplesError,
     ParameterError,
@@ -22,11 +21,9 @@ from rbmlab.stats import (
     _moments,
     box_indicator,
     deloc_supnorm,
-    g_comparison,
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    pgon_average,
     que_bound_ratio,
     que_trace,
     random_trace_zero,
@@ -176,53 +173,6 @@ def test_overlap_bound_check_returns_the_spectral_trace(medium_profile, rng):
         got = overlap_bound_check(spec, z, pi, l=l)[3]
         assert got == float(w @ M @ w)
         assert abs(got - tr) <= 1e-8 * abs(tr)
-
-
-def test_pgon_average(medium_profile):
-    z = 0.2 + 0.3j
-    ctx = resolvent(sample_band(medium_profile, 51, 0), z, medium_profile)
-    n = ctx.N
-    value, scale = pgon_average(ctx, np.arange(n), 2, "+-")
-    # Ward identity: equals (N eta)^-1 N^-1 sum_y Im G_yy
-    ward = np.sum(np.diagonal(ctx.G).imag) / (n**2 * z.imag)
-    assert abs(value - ward) <= 1e-9
-    assert scale > 0
-    # brute-force double loop on a small subset
-    lat16 = TorusLattice(1, 16)
-    prof16 = build_profile(get_shape("gaussian"), 2.0, lat16)
-    ctx16 = resolvent(sample_band(prof16, 52, 0), z, prof16)
-    sites = np.arange(16)
-    value16, _ = pgon_average(ctx16, sites, 2, "+-")
-    G = ctx16.G
-    brute = sum(
-        G[x, y] * np.conj(G[x, y]) for x in range(16) for y in range(16)
-    ) / 16.0**2
-    assert abs(value16 - brute) < 1e-12
-    # 3-gon against a hand loop
-    sub = np.array([0, 3, 7, 11])
-    v3, _ = pgon_average(ctx16, sub, 3, "++-")
-    acc = 0.0
-    for x1 in sub:
-        for x2 in sub:
-            for x3 in sub:
-                acc += G[x1, x2] * G[x2, x3] * np.conj(G[x1, x3])
-    assert abs(v3 - acc / len(sub) ** 3) < 1e-12
-    with pytest.raises(ParameterError):
-        pgon_average(ctx16, [0], 2, "+-")
-    with pytest.raises(ContractError):
-        pgon_average(ctx16, sites, 3, "+-")
-    with pytest.raises(CapacityError):
-        pgon_average(ctx16, np.arange(16), 8, "+-+-+-+-")
-
-
-def test_g_comparison_hand_value():
-    lat = TorusLattice(1, 64)
-    K, W = 4.0, 4.0
-    eta = (W / 64) ** 2
-    inv_neta = 1.0 / (64 * eta)
-    first = 1 / (W**2 * K ** (-1)) + inv_neta + K**-0.5 * np.sqrt(inv_neta * 64**2 / W**2)
-    second = 1 / (W**4 * K ** (-3)) + inv_neta * 64**2 / W**2
-    assert g_comparison(K, W, eta, lat) == pytest.approx(np.sqrt(first * second))
 
 
 def test_local_law_ratios_mean_field():
