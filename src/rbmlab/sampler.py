@@ -77,11 +77,11 @@ class HermitianSample:
 def _layout(n):
     """How _draw lays normals over an n x n matrix, shared by every draw of
     that size (read-only): offs, where row x of the strict upper triangle
-    holds pairs [offs[x], offs[x + 1]) and offs[n] = n(n-1)/2; per
-    lattice.row_blocks(n) block, (r0, r1, upper) with upper the mask of the
-    strict upper triangle in rows [r0, r1), a view of one staircase
-    pattern (2n bytes per block row); and the strict lower mask of a
-    diagonal tile."""
+    holds pairs [offs[x], offs[x + 1]) and offs[n] = n(n-1)/2; and per
+    lattice.row_blocks(n) block, (r0, r1, upper, low) with upper the mask
+    of the strict upper triangle in rows [r0, r1), a view of one staircase
+    pattern (2n bytes per block row), and low the strict lower mask of the
+    block's diagonal tile."""
     x = np.arange(n + 1)
     offs = x * n - x * (x + 1) // 2
     blocks = row_blocks(n)
@@ -90,58 +90,50 @@ def _layout(n):
     tile_lower = np.tri(rows, k=-1, dtype=bool)
     for a in (offs, stair, tile_lower):
         a.setflags(write=False)
-    return offs, tuple((r0, r1, stair[: r1 - r0, n - r0 : 2 * n - r0]) for r0, r1 in blocks), tile_lower
+    return offs, tuple(
+        (r0, r1, stair[: r1 - r0, n - r0 : 2 * n - r0], tile_lower[: r1 - r0, : r1 - r0])
+        for r0, r1 in blocks
+    )
 
 
-def _pair_sigma(prof):
-    """sqrt(s_xy / 2) over the strict upper triangle in pair order, the
-    standard deviation of Re h_xy and Im h_xy; gathered from row blocks of
-    the kernel, so no N x N variance matrix is formed."""
-    lat = prof.lattice
-    n = lat.N
-    offs, blocks, _ = _layout(n)
-    sig = np.empty(offs[n])
-    for r0, r1, upper in blocks:
-        sig[offs[r0] : offs[r1]] = lat.kernel_matrix(prof.kernel_fft, np.arange(r0, r1))[upper]
-    return np.sqrt(np.divide(sig, 2.0, out=sig), out=sig)
-
-
-def _draw(seed, t0, out, sigma, diag_var):
+def _draw(seed, t0, out, scale, diag_var):
     """Add the Hermitian draws of trials [t0, t0 + B) into the (B, n, n)
     C-order complex stack out, which must be Hermitian itself.
 
     Each trial's n(n-1) + n normals come in the canonical order, drawn in
     row blocks (lattice.row_blocks) into one reused buffer: the real parts
     block by block over the strict upper triangle, then the imaginary
-    parts, then the diagonal.  They are scaled by sigma (a scalar, or
-    _pair_sigma's vector) and by sqrt(diag_var) on the diagonal, and added
-    to the upper triangle and the diagonal; the lower triangle is then the
-    adjoint of the upper.  Beside the stack, only block-sized buffers are
-    live.
+    parts, then the diagonal.  The B trials' generators stay alive, so
+    each block's scales serve the whole stack: scale is a scalar, or the
+    variance profile, whose sqrt(s_xy / 2) a block gathers from the
+    N-vector sqrt(k / 2) (no N x N variance matrix, no vector over all
+    pairs).  The normals are scaled by it and by sqrt(diag_var) on the
+    diagonal, and added to the upper triangle and the diagonal; the lower
+    triangle is then the adjoint of the upper.  Beside the stack, only
+    block-sized buffers are live.
     """
     n = out.shape[-1]
-    offs, layout, tile_lower = _layout(n)
-    buf = np.empty(max([n] + [offs[r1] - offs[r0] for r0, r1, _ in layout]))
-    # per row block: its rows and upper mask, the share of buf its normals
-    # fill, their scale, and the strict lower mask of its diagonal tile
-    blocks = [
-        (r0, r1, upper, buf[: offs[r1] - offs[r0]],
-         sigma[offs[r0] : offs[r1]] if np.ndim(sigma) else sigma,
-         tile_lower[: r1 - r0, : r1 - r0])
-        for r0, r1, upper in layout
-    ]
-    diagonals = out.reshape(out.shape[0], n * n, copy=False)[:, :: n + 1].real
-    sig_diag = np.sqrt(diag_var)
-    for t, h, diagonal in zip(range(t0, t0 + out.shape[0]), out, diagonals):
-        rng = substream_rng(seed, t)
-        for part in (h.real, h.imag):
-            for r0, r1, upper, v, scale, _ in blocks:
+    offs, layout = _layout(n)
+    buf = np.empty(max([n] + [offs[r1] - offs[r0] for r0, r1, _, _ in layout]))
+    profiled = isinstance(scale, VarianceProfile)
+    if profiled:
+        lat = scale.lattice
+        root = np.sqrt(scale.kernel_fft / 2.0)
+    rngs = [substream_rng(seed, t) for t in range(t0, t0 + out.shape[0])]
+    for part in (out.real, out.imag):
+        for r0, r1, upper, _ in layout:
+            v = buf[: offs[r1] - offs[r0]]
+            s = lat.kernel_matrix(root, np.arange(r0, r1))[upper] if profiled else scale
+            for rng, h in zip(rngs, part):
                 rng.standard_normal(out=v)  # continues the trial's one stream
-                v *= scale
-                rows = part[r0:r1]
+                v *= s
+                rows = h[r0:r1]
                 v += rows[upper]
                 rows[upper] = v
-        for r0, r1, _, _, _, low in blocks:
+    diagonals = out.reshape(out.shape[0], n * n, copy=False)[:, :: n + 1].real
+    sig_diag = np.sqrt(diag_var)
+    for rng, h, diagonal in zip(rngs, out, diagonals):
+        for r0, r1, _, low in layout:
             # rows [r0, r1) below the diagonal: the adjoint of the upper
             # entries in columns [r0, r1), then of the tile on the diagonal
             if r0:
@@ -156,10 +148,11 @@ def _draw(seed, t0, out, sigma, diag_var):
 
 def sample_band_batch(prof: VarianceProfile, seed: int, t0: int, t1: int) -> np.ndarray:
     """The (t1 - t0, N, N) stack of sample_band(prof, seed, t).matrix over
-    trials t in [t0, t1); the pair variances are gathered once per call."""
+    trials t in [t0, t1); each row block's pair scales are gathered once
+    per part for the whole stack."""
     n = prof.lattice.N
     out = np.zeros((t1 - t0, n, n), dtype=complex)  # the diagonal stays real
-    return _draw(seed, t0, out, _pair_sigma(prof), prof.kernel_flat[0])
+    return _draw(seed, t0, out, prof, prof.kernel_flat[0])
 
 
 def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample:

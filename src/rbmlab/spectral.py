@@ -26,9 +26,10 @@ no route holds H beside G, beside LAPACK's copy of H, or beside H_t.
 
 The GUE oracle of the universality comparison is read only through its
 eigenvalue law, so gue_eigenvalues draws that law directly from the beta=2
-Hermite tridiagonal model (O(N) draws, one real eigvalsh) rather than
-factoring a dense complex GUE matrix; the dense sampler.sample_gue stays as
-its test oracle.
+Hermite tridiagonal model (O(N) draws, and LAPACK's dsterf on the
+diagonal and off-diagonal vectors, O(N^2) work in O(N) memory) rather
+than factoring a dense complex GUE matrix; the dense sampler.sample_gue
+stays as its test oracle.
 
 The block recursion does not pivot across blocks, and need not: for
 Im z = eta > 0 every leading principal block of H - z is H_11 - z with H_11
@@ -374,7 +375,7 @@ def eigenvalues(sample: HermitianSample) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian sample, without eigenvectors.
     Takes the sample's matrix: zheevd overwrites it."""
     what = f"sample {sample.provenance}"
-    return _eigvalsh(_lapack.hermitian_eigvalsh, sample.take(), what)
+    return _eigvalsh(_lapack.hermitian_eigvalsh, what, sample.take())
 
 
 def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
@@ -388,7 +389,9 @@ def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
     spectrum fills [-2, 2] like sample_gue's.  The draws from
     substream_rng(seed, trial) come in a fixed order: n standard normals
     (the diagonal), then n - 1 chi-squares with degrees of freedom
-    2(n-1), ..., 2 (the squared off-diagonal).
+    2(n-1), ..., 2 (the squared off-diagonal).  The eigenvalues come from
+    dsterf on the two vectors (_lapack.tridiagonal_eigvalsh): no N x N
+    matrix is formed.
     """
     if n < 2:
         raise ParameterError(f"GUE dimension must be >= 2, got {n}")
@@ -397,11 +400,8 @@ def gue_eigenvalues(n: int, seed: int, trial: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(beta * n)
     diag = rng.standard_normal(n) * (np.sqrt(2.0) * scale)
     off = np.sqrt(rng.chisquare(beta * np.arange(n - 1, 0, -1))) * scale
-    t = np.diag(diag)
-    t.flat[1 :: n + 1] = off  # superdiagonal
-    t.flat[n :: n + 1] = off  # subdiagonal
     what = f"GUE tridiagonal model (n={n}, seed={seed}, trial={trial})"
-    return _eigvalsh(np.linalg.eigvalsh, t, what)
+    return _eigvalsh(_lapack.tridiagonal_eigvalsh, what, diag, off)
 
 
 def eigensolve(sample: HermitianSample) -> SpectralData:
@@ -418,20 +418,21 @@ def eigensolve(sample: HermitianSample) -> SpectralData:
     return SpectralData(_finite(w, what), v)
 
 
-def _eigvalsh(solve, a, what):
-    _finite_entries(a, what)
+def _eigvalsh(solve, what, *arrays):
+    for a in arrays:
+        _finite_entries(a, what)
     try:
-        w = solve(a)
+        w = solve(*arrays)
     except (np.linalg.LinAlgError, NumericError) as exc:
         raise NumericError(f"eigenvalues failed for {what}: {exc}") from exc
     return _finite(w, what)
 
 
 def _finite_entries(a, what):
-    """Raise unless every entry of a is finite, checked in row blocks: for
-    some non-finite inputs LAPACK returns finite eigenvalues (zheevd at
-    N = 2 with a NaN on the diagonal)."""
-    for r0, r1 in row_blocks(a.shape[0]):
+    """Raise unless every entry of a, a matrix checked in row blocks or a
+    vector, is finite: for some non-finite inputs LAPACK returns finite
+    eigenvalues (zheevd at N = 2 with a NaN on the diagonal)."""
+    for r0, r1 in row_blocks(a.shape[0]) if a.ndim == 2 else [(0, a.size)]:
         if not np.all(np.isfinite(a[r0:r1])):
             raise NumericError(f"non-finite matrix entries in {what}")
 

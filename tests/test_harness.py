@@ -144,8 +144,8 @@ def test_manifest_records_the_blas_conditions(tmp_path, monkeypatch, capsys):
 
 
 def test_locallaw_draw_never_holds_h_beside_g():
-    # each factorization takes its own draw: the peak is the draw (H and
-    # the pair scales, 1.31 N^2 complex entries), not H beside G (2.2 N^2)
+    # each factorization takes its own draw: the peak is one resolvent
+    # (1.14 N^2 complex entries) or the draw, not H beside G (2.2 N^2)
     cfg = ExperimentConfig("locallaw", d=2, L=32, W=4.0, eta=(0.1, 0.3, 1.0), trials=1, seed=3)
     prof = harness._profile_for(cfg)
     n = prof.lattice.N

@@ -503,6 +503,19 @@ class _NaNRng:
         return np.ones(np.shape(df))
 
 
+def test_gue_eigenvalues_peak_memory_is_linear():
+    # dsterf on the two vectors: no n x n tridiagonal matrix, no copy of it
+    n = 1024
+    gue_eigenvalues(8, 1, 0)  # the LAPACK symbols are looked up once
+    tracemalloc.start()
+    try:
+        gue_eigenvalues(n, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, peak / n
+
+
 def test_gue_eigenvalues_non_finite_raises(monkeypatch):
     monkeypatch.setattr(spectral, "substream_rng", lambda seed, trial: _NaNRng())
     with pytest.raises(NumericError):
