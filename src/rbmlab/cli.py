@@ -10,7 +10,9 @@ README's Command line section lists the cases.  Each error or warning is
 one line on stderr.  A stdout closed early (rbm ... | head -1) still exits
 0, as the run and its files are complete.
 --config points at a flat key=value file; the experiment and explicit
-flags win.  All values are cast by harness.cast_config.
+flags win.  All values are cast by harness.cast_config.  An experiment
+takes only the fields it reads (harness._DISPATCH names them): any other
+field off its default, or an eta grid outside locallaw, exits 2.
 """
 
 import argparse

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, _lapack
 from .errors import CapacityError, NumericError, ValidationError, WindowError
-from .lattice import TorusLattice
+from .lattice import TorusLattice, row_blocks
 from .profile import (
     _SHAPES,
     band_truncation_mass,
@@ -91,6 +91,7 @@ _MAX_BAND = 1e12
 _TEXP2_SITES = ((0, 0, 0), (0, 1, 3), (2, 5, 5))
 _TEXP2_MIN_TRIALS = 100  # fewest trials whose standard errors the z-test trusts
 _PSI_NAMES = (*_SHAPES, "mean-field")
+_PROFILE_FIELDS = ("d", "L", "W", "psi")  # the config fields _profile_for reads
 _BULK_KAPPA = 0.5  # the bulk window |x| <= 2 - kappa of the gap ratios and the supnorm
 _SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
 
@@ -251,6 +252,14 @@ def _validate(config: ExperimentConfig):
         bad.append(f"trials={config.trials} must be >= {_TEXP2_MIN_TRIALS} for texp2")
     if not (np.isfinite(config.flow_time) and config.flow_time >= 0):
         bad.append(f"flow_time={config.flow_time} must be finite and >= 0")
+    if config.experiment in _DISPATCH:  # a field no metric reads must keep its default
+        reads = ("experiment", *_PROFILE_FIELDS, *_DISPATCH[config.experiment][1], "out", "fmt")
+        for f in dataclasses.fields(config):
+            if f.name not in reads and getattr(config, f.name) != f.default:
+                bad.append(f"{f.name}={getattr(config, f.name)!r} is not read by {config.experiment}; "
+                           f"leave it at its default {f.default!r}")
+        if "eta" in reads and len(config.eta) > 1 and config.experiment != "locallaw":
+            bad.append(f"eta={config.eta} is a grid; {config.experiment} reads one eta, only locallaw a grid")
     if config.fmt not in ("csv", "json"):
         bad.append(f"format={config.fmt!r} must be csv or json")
     if config.psi not in _PSI_NAMES:
@@ -325,7 +334,8 @@ def _ward_chunk(args):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
         worst_sentinel = max(worst_sentinel, ctx.ward_dev)
         resid = ward_residual(ctx)
-        scale = 1e-9 * max(1.0, n * float(np.max(np.abs(ctx.G))) ** 2)
+        g_max = max(float(np.abs(ctx.G[r0:r1]).max()) for r0, r1 in row_blocks(n))  # no N x N |G|
+        scale = 1e-9 * max(1.0, n * g_max**2)
         a, b1, b2 = (int(rng.integers(0, n)) for _ in range(3))
         tc, zm = zero_mode_split(ctx, a, b1, b2)
         tt = t_three(ctx, a, b1, b2)
@@ -398,7 +408,7 @@ def _exp_propcheck(report, config, prof, workers):
     lat = prof.lattice
     n = lat.N
     rng = substream_rng(_aux_master(config.seed, 2), 0)
-    gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0, "s_minus": 0.0}
+    gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0}
     const_dev = 0.0
     sum_dev = 0.0
     for _ in range(5):
@@ -410,7 +420,6 @@ def _exp_propcheck(report, config, prof, workers):
         gaps["theta_circ"] = max(gaps["theta_circ"], float(np.max(np.abs(d_tc - lat.kernel_matrix(props.theta_circ_fft)))))
         gaps["theta"] = max(gaps["theta"], float(np.max(np.abs(d_t - lat.kernel_matrix(props.theta_fft)))))
         gaps["s_plus"] = max(gaps["s_plus"], float(np.max(np.abs(d_sp - lat.kernel_matrix(props.s_plus_fft)))))
-        gaps["s_minus"] = max(gaps["s_minus"], float(np.max(np.abs(d_sp.conj() - lat.kernel_matrix(props.s_minus_fft)))))
         shift = semicircle_m(z).imag / (n * z.imag)
         const_dev = max(const_dev, float(np.max(np.abs((d_t - d_tc) - shift))))
         sum_dev = max(sum_dev, abs(float(props.theta_circ_fft.sum())))
@@ -494,7 +503,7 @@ def _gap_ratio_chunk(args):
     for t in range(t0, t1):
         sample = sample_band(prof, config.seed, t)
         if config.flow_time > 0:
-            sample = ou_evolve(sample, config.flow_time, prof, _aux_master(config.seed, 3), t)
+            sample = ou_evolve(sample, config.flow_time, _aux_master(config.seed, 3), t)
         band.append(gap_ratio_mean(eigenvalues(sample), kappa=_BULK_KAPPA))
     gue = [
         gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=_BULK_KAPPA)
@@ -657,26 +666,27 @@ def _exp_graph(report, config, prof, workers):
     report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
 
 
-# experiment -> fn(report, config, prof, workers), which fills the report run made
+_AT_Z = ("E", "eta", "trials", "seed")  # z = E + i eta[0]; locallaw alone reads the eta grid
+# experiment -> (fn(report, config, prof, workers), which fills the report run made;
+# the fields fn reads beyond the profile's, the only ones _validate lets leave their defaults)
 _DISPATCH = {
-    "profile": _exp_profile,
-    "wardcheck": _exp_wardcheck,
-    "texp2": _exp_texp2,
-    "propcheck": _exp_propcheck,
-    "locallaw": _exp_locallaw,
-    "universality": _exp_universality,
-    "que": _exp_que,
-    "graph": _exp_graph,
+    "profile": (_exp_profile, ()),
+    "wardcheck": (_exp_wardcheck, _AT_Z),
+    "texp2": (_exp_texp2, _AT_Z),
+    "propcheck": (_exp_propcheck, ("seed",)),
+    "locallaw": (_exp_locallaw, _AT_Z),
+    "universality": (_exp_universality, ("trials", "seed", "flow_time")),
+    "que": (_exp_que, _AT_Z),
+    "graph": (_exp_graph, ("E", "eta", "seed")),
 }
 
 EXPERIMENTS = tuple(_DISPATCH)
 
 
 def _params(config: ExperimentConfig, prof) -> dict:
-    d = dataclasses.asdict(config)
-    d.pop("out")  # volatile; lives in the manifest, not in the metrics
-    d["W"] = prof.W  # the band the metrics read: L at mean-field, whatever --band says
-    return d
+    # the fields the metrics read; W is the profile's: L at mean-field, whatever --band says
+    reads = ("experiment", *_PROFILE_FIELDS, *_DISPATCH[config.experiment][1])
+    return {k: getattr(config, k) for k in reads} | {"W": prof.W}
 
 
 # --- persistence ----------------------------------------------------------
@@ -719,7 +729,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ResultRecord:
     t0 = time.perf_counter()
     prof = _profile_for(config)
     report = StatReport(config.experiment, params=_params(config, prof))
-    _DISPATCH[config.experiment](report, config, prof, workers)
+    _DISPATCH[config.experiment][0](report, config, prof, workers)
     wall = time.perf_counter() - t0
     _require_finite(report)
     record = ResultRecord(config, report, wall, __version__)

@@ -165,9 +165,7 @@ def sample_band(prof: VarianceProfile, seed: int, trial: int) -> HermitianSample
     return HermitianSample(prof.lattice, h, Provenance(seed, trial, 0.0, prof.profile_id))
 
 
-def ou_evolve(
-    h0: HermitianSample, t: float, prof: VarianceProfile, seed: int, trial: int
-) -> HermitianSample:
+def ou_evolve(h0: HermitianSample, t: float, seed: int, trial: int) -> HermitianSample:
     """One-shot transition of dH = -H/2 dt + dB/sqrt(N) over time t.
 
     H_t = exp(-t/2) H_0 + Xi_t with Xi_t an independent Hermitian Gaussian

@@ -272,7 +272,7 @@ def test_criterion_08_ou_flow_law():
             hts = [
                 ou_evolve(
                     HermitianSample(lat, h.copy(), Provenance(SEED + 7, trial, 0.0, prof.profile_id)),
-                    t, prof, SEED + 8, trial,
+                    t, SEED + 8, trial,
                 ).matrix
                 for trial, h in enumerate(h0s, c0)
             ]
@@ -288,7 +288,7 @@ def test_criterion_08_ou_flow_law():
         assert np.max(zmat) <= 4.0, (t, np.max(zmat))
         worst = max(worst, float(np.max(zmat)))
     h0 = sample_band(prof, SEED + 7, 0).matrix
-    assert np.array_equal(ou_evolve(sample_band(prof, SEED + 7, 0), 0.0, prof, SEED + 8, 0).matrix, h0)
+    assert np.array_equal(ou_evolve(sample_band(prof, SEED + 7, 0), 0.0, SEED + 8, 0).matrix, h0)
     _report(8, f"OU entry-variance law at t in {times}, 1e5 trials; worst |z| = {worst:.2f}; t=0 exact")
 
 

@@ -158,6 +158,22 @@ def test_locallaw_draw_never_holds_h_beside_g():
     assert peak <= 1.4 * 16 * n * n, peak / (16 * n * n)
 
 
+def test_ward_chunk_peak_memory_is_one_resolvent():
+    # the residual scale's max |G_xy| is read in row blocks: the peak is a
+    # resolvent (1.14 N^2 complex entries) and the chunk's block temporaries,
+    # not G beside a real N x N |G| (1.51 N^2)
+    cfg = ExperimentConfig("wardcheck", d=2, L=32, W=4.0, trials=1, seed=1)
+    prof = harness._profile_for(cfg)
+    n = prof.lattice.N
+    tracemalloc.start()
+    try:
+        harness._ward_chunk((cfg, prof, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 16 * n * n, peak / (16 * n * n)
+
+
 def test_rerun_bit_for_bit(tmp_path):
     out1 = tmp_path / "a"
     cfg = ExperimentConfig("wardcheck", d=2, L=6, W=2.0, trials=130, seed=3, out=str(out1))
@@ -274,7 +290,7 @@ def test_universality_experiment_with_flow():
     # the eigenvalue-only route reproduces the full eigensystem's spectrum
     prof = build_profile(get_shape("gaussian"), 80.0, TorusLattice(1, 80))
     band = [
-        ou_evolve(sample_band(prof, 5, t), 0.5, prof, harness._aux_master(5, 3), t)
+        ou_evolve(sample_band(prof, 5, t), 0.5, harness._aux_master(5, 3), t)
         for t in range(2)
     ]
     want = np.mean([gap_ratio_mean(eigensolve(s).eigenvalues, kappa=0.5) for s in band])
@@ -419,7 +435,7 @@ def test_out_that_names_a_file_exits_2_before_the_run(tmp_path, monkeypatch, und
     blocker.write_text("kept\n")
     out = blocker / "run" if under else blocker
     # no experiment may start: the check comes before any draw
-    monkeypatch.setitem(harness._DISPATCH, "profile", lambda report, config, prof, workers: pytest.fail("ran"))
+    monkeypatch.setitem(harness._DISPATCH, "profile", (lambda report, config, prof, workers: pytest.fail("ran"), ()))
     for args in (
         ["profile", "--dim", "1", "--size", "8", "--out", str(out)],
         ["rerun", "--manifest", str(src / "manifest.json"), "--out", str(out)],
@@ -440,7 +456,7 @@ def test_flags_a_command_does_not_take_exit_2_before_the_run(tmp_path, monkeypat
     cfg.write_text("trials=50\n")
     capsys.readouterr()
     for name in ("profile", "locallaw"):
-        monkeypatch.setitem(harness._DISPATCH, name, lambda report, config, prof, workers: pytest.fail("ran"))
+        monkeypatch.setitem(harness._DISPATCH, name, (lambda *_: pytest.fail("ran"), harness._DISPATCH[name][1]))
     for args, stray in (
         (["rerun", "--manifest", manifest, "--trials", "50", "--dim", "2"], "--dim, --trials"),
         (["rerun", "--manifest", manifest, "--config", str(cfg)], "--config"),
@@ -483,7 +499,7 @@ def test_non_finite_metric_exits_4_without_metrics(tmp_path, monkeypatch, capsys
         report.add("ok", 1.0, "finite", stderr=0.1)
         report.add("broken", value, "not finite", stderr=stderr)
 
-    monkeypatch.setitem(harness._DISPATCH, "profile", nan_experiment)
+    monkeypatch.setitem(harness._DISPATCH, "profile", (nan_experiment, ()))
     out = tmp_path / "nan"
     assert cli.main(["profile", "--out", str(out)]) == 4
     assert "'broken'" in capsys.readouterr().err
@@ -503,8 +519,8 @@ def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(spectral, "_block_inv", corrupted_inv)
     out = tmp_path / experiment
-    trials = "100" if experiment == "texp2" else "2"  # texp2 needs 100 trials
-    args = [experiment, "--dim", "1", "--size", "16", "--band", "2", "--trials", trials]
+    trials = {"texp2": ["--trials", "100"], "graph": []}.get(experiment, ["--trials", "2"])  # texp2 needs 100
+    args = [experiment, "--dim", "1", "--size", "16", "--band", "2", *trials]
     assert cli.main([*args, "--out", str(out)]) == 4
     assert "Ward sentinel" in capsys.readouterr().err
     assert not (out / "metrics.json").exists()
@@ -512,15 +528,16 @@ def test_corrupted_resolvent_exits_4_without_metrics(tmp_path, monkeypatch, caps
 
 def test_resolvent_experiments_record_the_ward_sentinel():
     for experiment in ("wardcheck", "locallaw", "graph", "texp2", "que"):
-        trials = 100 if experiment == "texp2" else 2
-        cfg = ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=(0.1, 0.5), trials=trials)
+        trials = {"texp2": 100, "graph": 10}.get(experiment, 2)  # graph reads no trials: the default
+        eta = (0.1, 0.5) if experiment == "locallaw" else (0.1,)  # only locallaw reads a grid
+        cfg = ExperimentConfig(experiment, d=1, L=16, W=2.0, eta=eta, trials=trials)
         assert 0.0 <= run(cfg).report["max_ward_sentinel_dev"] <= 1e-10, experiment
 
 
 def test_propcheck_experiment_and_its_dense_cap(tmp_path):
     rep = run(ExperimentConfig("propcheck", d=2, L=6, W=2.0, seed=3)).report
     gaps = [k for k in rep.metrics if k.startswith("max_gap_")]
-    assert len(gaps) == 4
+    assert len(gaps) == 3  # theta_circ, theta, s_plus; s_minus is s_plus conjugated
     assert all(rep[k] <= 1e-8 for k in gaps), {k: rep[k] for k in gaps}
     out = tmp_path / "big"
     assert cli.main(["propcheck", "--size", "513", "--out", str(out)]) == 3
@@ -620,3 +637,85 @@ def test_cli_rerun(tmp_path):
     b = json.loads((out2 / "metrics.json").read_text())["metrics"]
     assert a == b
     assert _run_cli("rerun").returncode == 2
+
+
+# a tiny config per experiment, and a change of each field no profile reads
+_TINY = {
+    "profile": dict(d=1, L=8, W=2.0),
+    "wardcheck": dict(d=1, L=8, W=2.0, trials=2),
+    "texp2": dict(d=1, L=8, W=2.0, trials=100),
+    "propcheck": dict(d=1, L=6, W=2.0),
+    "locallaw": dict(d=1, L=16, W=2.0, eta=(0.2, 0.6), trials=2),
+    "universality": dict(d=1, L=80, W=80.0, trials=2),
+    "que": dict(d=1, L=16, W=2.0, trials=2),
+    "graph": dict(d=1, L=8, W=2.0),
+}
+_NUDGES = {
+    "E": lambda v: v + 0.1,
+    "eta": lambda v: tuple(1.5 * e for e in v),
+    "trials": lambda v: v + 1,
+    "seed": lambda v: v + 1,
+    "flow_time": lambda v: v + 0.5,
+}
+
+
+def _config_file(path, cfg):
+    values = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
+    path.write_text("".join(f"{k}={','.join(map(str, v)) if k == 'eta' else v}\n" for k, v in values.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_each_experiment_reads_exactly_the_fields_its_table_names(tmp_path, monkeypatch, capsys, experiment):
+    # a field the table names moves the metrics; any other field moves nothing, and off
+    # its default it exits 2 before the run
+    fn, reads = harness._DISPATCH[experiment]
+    base = ExperimentConfig(experiment, **_TINY[experiment])
+    report = json.loads(run(base).report.to_json())
+    assert sorted(report["params"]) == sorted(("experiment", "d", "L", "W", "psi", *reads))
+    for name, nudge in _NUDGES.items():
+        cfg = dataclasses.replace(base, **{name: nudge(getattr(base, name))})
+        if name in reads:
+            assert json.loads(run(cfg).report.to_json())["metrics"] != report["metrics"], name
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_validate", lambda config: None)
+            assert json.loads(run(cfg).report.to_json())["metrics"] == report["metrics"], name
+        with monkeypatch.context() as m:
+            m.setitem(harness._DISPATCH, experiment, (lambda *_: pytest.fail("ran"), reads))
+            out = tmp_path / name
+            capsys.readouterr()
+            assert cli.main([experiment, "--config", _config_file(tmp_path / "c.cfg", cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name}=" in err and len(err.splitlines()) == 1, err
+        assert not (out / "metrics.json").exists()
+    if "eta" in reads and experiment != "locallaw":  # eta[0] only: a grid exits 2
+        grid = dataclasses.replace(base, eta=(0.5, 0.9))
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_validate", lambda config: None)
+            assert json.loads(run(grid).report.to_json())["metrics"] == report["metrics"]
+        with pytest.raises(ValidationError, match=r"eta=\(0\.5, 0\.9\) is a grid"):
+            run(grid)
+
+
+def test_an_unread_field_off_its_default_exits_2_from_flags_files_and_manifests(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert cli.main(["profile", "--dim", "1", "--size", "8", "--seed", "1", "--out", str(src)]) == 0
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest["config"]["seed"] = 2
+    (tmp_path / "seed2.json").write_text(json.dumps(manifest))
+    (tmp_path / "seed2.cfg").write_text("seed=2\n")
+    capsys.readouterr()
+    for args in (
+        ["profile", "--dim", "1", "--size", "8", "--seed", "2"],
+        ["profile", "--dim", "1", "--size", "8", "--config", str(tmp_path / "seed2.cfg")],
+        ["rerun", "--manifest", str(tmp_path / "seed2.json")],
+        ["wardcheck", "--eta", "0.3,0.9"],
+    ):
+        out = tmp_path / "out"
+        assert cli.main([*args, "--out", str(out)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert ("eta=(0.3, 0.9)" if args[0] == "wardcheck" else "seed=2") in err, err
+        assert not out.exists()
+    assert cli.main(["wardcheck", "--eta", "0.3", "--trials", "2", "--out", str(tmp_path / "w")]) == 0

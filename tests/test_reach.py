@@ -178,3 +178,31 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused += [(mod, name) for name in sorted(imported - read - _exported(tree))]
     assert not unused, f"imported, never read and not in __all__: {unused}"
+
+
+# (module, function, parameter) a function takes and never reads, and why each stays
+_UNREAD_PARAMETERS = {
+    # run calls every experiment as fn(report, config, prof, workers); the unchunked ones map no trials
+    ("harness", "_exp_profile", "workers"),
+    ("harness", "_exp_propcheck", "workers"),
+    ("harness", "_exp_graph", "workers"),
+    # the expansion's graphs bind their sites later, through standard_bindings; the
+    # benchmark's graph-eval workload calls it with a site triple
+    ("graphs", "second_order_graphs", "a"),
+    ("graphs", "second_order_graphs", "b1"),
+    ("graphs", "second_order_graphs", "b2"),
+}
+
+
+def test_every_parameter_is_read():
+    # a parameter no line reads is a setting that changes nothing; `_` and `*_` name what is discarded
+    unread = set()
+    for mod, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = fn.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread |= {(mod, fn.name, p) for p in params if p not in read and not p.startswith("_")}
+    assert not unread - _UNREAD_PARAMETERS, f"parameters never read: {sorted(unread - _UNREAD_PARAMETERS)}"
+    assert not _UNREAD_PARAMETERS - unread, f"read or gone, drop: {sorted(_UNREAD_PARAMETERS - unread)}"

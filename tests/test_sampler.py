@@ -58,7 +58,7 @@ def test_sampler_matches_symmetrizing_assembly(psi, W, d, L):
             var = (1.0 - np.exp(-t)) / n
             xi = _hermitian_by_symmetrizing(substream_rng(seed + 1, trial), n, var, var)
             want = np.exp(-t / 2.0) * h.matrix + xi
-            flowed = ou_evolve(sample_band(prof, seed, trial), t, prof, seed + 1, trial)
+            flowed = ou_evolve(sample_band(prof, seed, trial), t, seed + 1, trial)
             assert np.array_equal(flowed.matrix, want)
         gue = sample_gue(n, seed, trial)
         want = _reference_band(mean_field_profile(TorusLattice(1, n)), seed, trial)
@@ -120,14 +120,14 @@ def test_entry_variance_moment_oracle(small_profile):
 def test_ou_t0_exact(small_profile):
     h0 = sample_band(small_profile, 1, 0)
     buffer = h0.matrix
-    ht = ou_evolve(h0, 0.0, small_profile, 2, 0)
+    ht = ou_evolve(h0, 0.0, 2, 0)
     assert np.array_equal(ht.matrix, sample_band(small_profile, 1, 0).matrix)
     assert ht.matrix is buffer  # H_t is written over H_0
     assert ht.provenance.flow_time == 0.0
     with pytest.raises(ContractError):
         h0.matrix
     with pytest.raises(ParameterError):
-        ou_evolve(sample_band(small_profile, 1, 0), -0.1, small_profile, 2, 0)
+        ou_evolve(sample_band(small_profile, 1, 0), -0.1, 2, 0)
 
 
 def test_ou_long_time_mean_field_limit(small_profile):
@@ -137,7 +137,7 @@ def test_ou_long_time_mean_field_limit(small_profile):
     vals = np.empty(TRIALS)
     for t in range(TRIALS):
         h0 = sample_band(small_profile, 11, t)
-        vals[t] = np.abs(ou_evolve(h0, 50.0, small_profile, 12, t).matrix[x, y]) ** 2
+        vals[t] = np.abs(ou_evolve(h0, 50.0, 12, t).matrix[x, y]) ** 2
     se = vals.std(ddof=1) / np.sqrt(TRIALS)
     assert abs(vals.mean() - 1.0 / n) < 5 * se
 
@@ -151,7 +151,7 @@ def test_ou_variance_law(small_profile):
     vals = np.empty(TRIALS)
     for t in range(TRIALS):
         h0 = sample_band(small_profile, 21, t)
-        vals[t] = np.abs(ou_evolve(h0, t_flow, small_profile, 22, t).matrix[x, y]) ** 2
+        vals[t] = np.abs(ou_evolve(h0, t_flow, 22, t).matrix[x, y]) ** 2
     se = vals.std(ddof=1) / np.sqrt(TRIALS)
     assert abs(vals.mean() - target) < 5 * se
 
@@ -166,17 +166,13 @@ def test_ou_semigroup_variance_bookkeeping(small_profile):
     vals = np.empty(TRIALS)
     for t in range(TRIALS):
         h0 = sample_band(small_profile, 31, t)
-        h1 = ou_evolve(h0, t1, small_profile, 32, t)
-        h2 = ou_evolve(h1, t2, small_profile, 33, t)
+        h1 = ou_evolve(h0, t1, 32, t)
+        h2 = ou_evolve(h1, t2, 33, t)
         vals[t] = np.abs(h2.matrix[x, y]) ** 2
     se = vals.std(ddof=1) / np.sqrt(TRIALS)
     assert abs(vals.mean() - target) < 5 * se
     assert ou_evolve(
-        ou_evolve(sample_band(small_profile, 1, 0), t1, small_profile, 2, 0),
-        t2,
-        small_profile,
-        3,
-        0,
+        ou_evolve(sample_band(small_profile, 1, 0), t1, 2, 0), t2, 3, 0
     ).provenance.flow_time == pytest.approx(t1 + t2)
 
 

@@ -175,7 +175,7 @@ _TAKERS = {
     "resolvent-checked": lambda s, prof: resolvent(s, 0.3 + 0.1j, prof, check=True),
     "eigenvalues": lambda s, prof: eigenvalues(s),
     "eigensolve": lambda s, prof: eigensolve(s),
-    "ou_evolve": lambda s, prof: ou_evolve(s, 0.5, prof, 3, s.provenance.trial),
+    "ou_evolve": lambda s, prof: ou_evolve(s, 0.5, 3, s.provenance.trial),
 }
 
 
