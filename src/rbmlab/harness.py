@@ -6,13 +6,13 @@ Flags, --config files, rerun manifests and configs built in code all pass
 through cast_config; every output file goes through tables.write_text.
 
 Reruns from a manifest reproduce every metric bit-for-bit for any worker
-count: each trial draws from its own substream, work is split into
-fixed-size chunks independent of the pool size, and reductions run in
-chunk order.
+count: each trial draws from its own substreams, _map_trials maps fixed-size
+chunks of trials independent of the pool size, every chunk returns named
+per-trial columns that _map_trials joins in trial order, and each
+experiment reduces whole columns.
 """
 
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -54,10 +54,10 @@ from .spectral import (
     zero_mode_split,
 )
 from .stats import (
+    GAP_RATIO_MIN_BULK,
     LOCAL_LAW_MAX_E,
     QUE_BOUND_MIN_DRAWS,
-    _merge_moments,
-    _moments,
+    SEMICIRCLE_MIN_EIGS,
     box_indicator,
     deloc_supnorm,
     gap_ratio_mean,
@@ -94,6 +94,9 @@ _PSI_NAMES = (*_SHAPES, "mean-field")
 _PROFILE_FIELDS = ("d", "L", "W", "psi")  # the config fields _profile_for reads
 _BULK_KAPPA = 0.5  # the bulk window |x| <= 2 - kappa of the gap ratios and the supnorm
 _SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
+# fewest sites an experiment's statistics take: the KS distance's eigenvalues,
+# and the gap ratios' interior bulk points
+_MIN_N = {"locallaw": SEMICIRCLE_MIN_EIGS, "universality": GAP_RATIO_MIN_BULK + 2}
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,8 @@ def _validate(config: ExperimentConfig):
         bad.append(f"trials={config.trials} must be >= 1")
     elif config.experiment == "texp2" and config.trials < _TEXP2_MIN_TRIALS:
         bad.append(f"trials={config.trials} must be >= {_TEXP2_MIN_TRIALS} for texp2")
+    if config.N < _MIN_N.get(config.experiment, 0):
+        bad.append(f"N={config.N} must be >= {_MIN_N[config.experiment]} for {config.experiment}")
     if not (np.isfinite(config.flow_time) and config.flow_time >= 0):
         bad.append(f"flow_time={config.flow_time} must be finite and >= 0")
     if config.experiment in _DISPATCH:  # a field no metric reads must keep its default
@@ -290,9 +295,24 @@ def _aux_master(seed: int, purpose: int) -> int:
     return seed_substream(seed, 2**40 + purpose)
 
 
-def _map_trials(fn, trials: int, workers: int, *shared):
-    """[fn((*shared, t0, t1)) for each chunk [t0, t1) of range(trials)], in chunk order."""
-    return _map_chunks(fn, [(*shared, t0, t1) for t0, t1 in _chunk_ranges(trials)], workers)
+def _map_trials(fn, trials: int, workers: int, *shared, chunk=None):
+    """fn((*shared, t0, t1)) over the chunks [t0, t1) of range(trials), of
+    chunk trials each (default seeding._TRIAL_CHUNK).  Each call returns
+    named columns, one entry per trial or per resolvent; each comes back
+    joined across the chunks in trial order, so no metric depends on the
+    chunking."""
+    parts = _map_chunks(fn, [(*shared, t0, t1) for t0, t1 in _chunk_ranges(trials, chunk)], workers)
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
+def _columns(names, rows):
+    # per-trial rows, one value per name -> {name: column}
+    return dict(zip(names, np.asarray(rows, dtype=float).reshape(-1, len(names)).T))
+
+
+def _add_sentinel(report, cols):
+    sentinel = cols["sentinel"]
+    report.add("max_ward_sentinel_dev", sentinel.max(), _SENTINEL_DEF, sentinel.size)
 
 
 # --- experiments ----------------------------------------------------------
@@ -326,60 +346,42 @@ def _exp_profile(report, config, prof, workers):
 
 def _ward_chunk(args):
     config, prof, t0, t1 = args
-    rng = substream_rng(_aux_master(config.seed, 1), t0)
     z = config.z()
     n = prof.lattice.N
-    worst = worst_scaled = worst_zm = worst_sentinel = 0.0
+    rows = []
     for t in range(t0, t1):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
-        worst_sentinel = max(worst_sentinel, ctx.ward_dev)
         resid = ward_residual(ctx)
         g_max = max(float(np.abs(ctx.G[r0:r1]).max()) for r0, r1 in row_blocks(n))  # no N x N |G|
-        scale = 1e-9 * max(1.0, n * g_max**2)
+        rng = substream_rng(_aux_master(config.seed, 1), t)  # the trial's site triple
         a, b1, b2 = (int(rng.integers(0, n)) for _ in range(3))
         tc, zm = zero_mode_split(ctx, a, b1, b2)
         tt = t_three(ctx, a, b1, b2)
         rel = abs(tt - (tc + zm)) / max(abs(tt), 1e-300)
-        worst = max(worst, resid)
-        worst_scaled = max(worst_scaled, resid / scale)
-        worst_zm = max(worst_zm, rel)
-    return worst, worst_scaled, worst_zm, worst_sentinel
+        rows.append((resid, resid / (1e-9 * max(1.0, n * g_max**2)), rel, ctx.ward_dev))
+    return _columns(("residual", "scaled_residual", "zero_mode_rel_err", "sentinel"), rows)
 
 
 def _exp_wardcheck(report, config, prof, workers):
-    parts = _map_trials(_ward_chunk, config.trials, workers, config, prof)
-    report.add(
-        "max_residual",
-        max(p[0] for p in parts),
-        "max over draws of the Ward identity residual",
-        config.trials,
-    )
-    report.add(
-        "max_scaled_residual",
-        max(p[1] for p in parts),
-        "residual / (1e-9 max(1, N |G|max^2)); pass iff <= 1",
-        config.trials,
-    )
-    report.add(
-        "max_zero_mode_rel_err",
-        max(p[2] for p in parts),
-        "max relative error of the zero-mode split reconstruction",
-        config.trials,
-    )
-    report.add(
-        "max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, config.trials
-    )
+    cols = _map_trials(_ward_chunk, config.trials, workers, config, prof)
+    for name, definition in (
+        ("residual", "max over draws of the Ward identity residual"),
+        ("scaled_residual", "residual / (1e-9 max(1, N |G|max^2)); pass iff <= 1"),
+        ("zero_mode_rel_err", "max relative error of the zero-mode split reconstruction"),
+    ):
+        report.add(f"max_{name}", cols[name].max(), definition, config.trials)
+    _add_sentinel(report, cols)
 
 
 def _texp2_chunk(args):
     # the chunk's trials are drawn as one stack and inverted once; every site
-    # triple's residual moments are read from that stack
+    # triple's residual is read from that stack
     config, prof, triples, theta_rows, t0, t1 = args
     z = config.z()
     what = f"seed {config.seed}, trials [{t0}, {t1}), z={z}"
     G, dev = resolvent_stack(sample_band_batch(prof, config.seed, t0, t1), z, what)
     T, lead, zm, corr = _second_order_batch(G, semicircle_m(z), z.imag, prof, triples, theta_rows)
-    return dev, [_moments(r) for r in T - lead - zm - corr]
+    return {"sentinel": dev, "residual": (T - lead - zm - corr).T}  # residual[t, i]: triple i
 
 
 def _exp_texp2(report, config, prof, workers):
@@ -387,11 +389,12 @@ def _exp_texp2(report, config, prof, workers):
     lat = prof.lattice
     triples = [s for s in _TEXP2_SITES if max(s) < lat.N] or [(0, 0, 0)]
     theta_rows = lat.kernel_matrix(theta_circ(prof, config.z()), [a for a, _, _ in triples])
-    parts = _map_trials(_texp2_chunk, config.trials, workers, config, prof, triples, theta_rows)
+    cols = _map_trials(_texp2_chunk, config.trials, workers, config, prof, triples, theta_rows)
+    n = config.trials
     worst_z = 0.0
-    for i, (a, b1, b2) in enumerate(triples):
-        n, mean, m2 = functools.reduce(_merge_moments, (p[i] for _, p in parts))
-        se_re, se_im = np.sqrt(m2 / n / n)
+    for (a, b1, b2), r in zip(triples, cols["residual"].T):
+        mean = r.mean()
+        se_re, se_im = np.sqrt(np.var(r.real) / n), np.sqrt(np.var(r.imag) / n)
         zr = abs(mean.real) / se_re if se_re else np.inf
         zi = abs(mean.imag) / se_im if se_im else np.inf
         key = f"sites_{a}_{b1}_{b2}"
@@ -401,7 +404,7 @@ def _exp_texp2(report, config, prof, workers):
         report.add(f"z_im_{key}", zi, "|mean_im| / stderr_im", n)
         worst_z = max(worst_z, zr, zi)
     report.add("max_zscore", worst_z, "largest componentwise z-score; pass iff <= 5")
-    report.add("max_ward_sentinel_dev", max(dev for dev, _ in parts), _SENTINEL_DEF, config.trials)
+    _add_sentinel(report, cols)
 
 
 def _exp_propcheck(report, config, prof, workers):
@@ -429,41 +432,36 @@ def _exp_propcheck(report, config, prof, workers):
     report.add("max_theta_circ_sum", sum_dev, "max |sum_x theta_circ(x)|", 5)
 
 
-def _locallaw_draw(args):
+def _locallaw_chunk(args):
     # per (draw, eta) the dense inverse is cheaper than one eigendecomposition
     # amortized over a short eta grid; the KS statistic needs eigenvalues
     # only once, computed without eigenvectors on draw 0.  Each
     # factorization takes its own draw of trial t, which costs a fraction
     # of an inverse, so H is never held beside G
-    config, prof, t = args
-    out = {"sentinel": 0.0}
-    for eta in config.eta:
-        ctx = resolvent(sample_band(prof, config.seed, t), config.z(eta), prof, check=False)
-        out["sentinel"] = max(out["sentinel"], ctx.ward_dev)
-        out[eta] = local_law_ratios(ctx)  # (max_diag_gap, shell_max)
-        del ctx  # free this G before the next draw allocates its H
-    if t == 0:
-        out["ks"] = semicircle_distance(eigenvalues(sample_band(prof, config.seed, t)))
-    return out
+    config, prof, t0, t1 = args
+    etas = sorted(config.eta)
+    sentinel, diag, shells = [], [], []
+    for t in range(t0, t1):
+        for eta in etas:
+            ctx = resolvent(sample_band(prof, config.seed, t), config.z(eta), prof, check=False)
+            sentinel.append(ctx.ward_dev)
+            gap, shell_max = local_law_ratios(ctx)
+            diag.append(gap)
+            shells.append(shell_max)
+            del ctx  # free this G before the next draw allocates its H
+    ks = [semicircle_distance(eigenvalues(sample_band(prof, config.seed, 0)))] if t0 == 0 else []
+    shape = (t1 - t0, len(etas))
+    return {"sentinel": sentinel, "diag": np.reshape(diag, shape),
+            "shells": np.reshape(shells, shape + (-1,)), "ks": ks}
 
 
 def _exp_locallaw(report, config, prof, workers):
-    # one task per draw, not _map_trials: a few heavy draws would all land
-    # in one serial chunk
-    draws = _map_chunks(
-        _locallaw_draw, [(config, prof, t) for t in range(config.trials)], workers
-    )
-    report.add(
-        "ks_distance",
-        draws[0]["ks"],
-        "semicircle KS distance of the draw-0 spectrum",
-    )
+    # one draw per chunk: a few heavy draws would all land in one serial chunk
+    cols = _map_trials(_locallaw_chunk, config.trials, workers, config, prof, chunk=1)
+    report.add("ks_distance", cols["ks"][0], "semicircle KS distance of the draw-0 spectrum")
     etas = sorted(config.eta)
-    maxima = []
-    for eta in etas:
-        ratio = max(d[eta][1].max() for d in draws)
-        diag = max(d[eta][0] for d in draws)
-        maxima.append(ratio)
+    ratios = cols["shells"].max(axis=(0, 2))  # shells[t, i, s - 1]: draw t, etas[i], distance s
+    for eta, ratio, diag in zip(etas, ratios, cols["diag"].max(axis=0)):
         report.add(
             f"max_offdiag_ratio_eta_{eta:g}",
             ratio,
@@ -476,23 +474,16 @@ def _exp_locallaw(report, config, prof, workers):
             "max over draws of max |G_xx - m|",
             config.trials,
         )
-    decreasing = all(maxima[i] > maxima[i + 1] for i in range(len(maxima) - 1))
     report.add(
         "ratio_decreasing_in_eta",
-        float(decreasing),
+        float(np.all(ratios[:-1] > ratios[1:])),
         "1 if the max ratio decreases along the ascending eta grid",
         config.trials,
     )
-    report.add(
-        "max_ward_sentinel_dev",
-        max(d["sentinel"] for d in draws),
-        _SENTINEL_DEF,
-        config.trials * len(etas),
-    )
-    shell_max = draws[0][etas[-1]][1]  # shell_max[s - 1] is distance s
+    _add_sentinel(report, cols)
     report.tables["ratio_shells_eta_max"] = (
         ["distance", "max_ratio"],
-        [[s, v] for s, v in enumerate(shell_max, start=1)],
+        [[s, v] for s, v in enumerate(cols["shells"][0, -1], start=1)],
     )
 
 
@@ -509,13 +500,12 @@ def _gap_ratio_chunk(args):
         gap_ratio_mean(gue_eigenvalues(config.N, _aux_master(config.seed, 4), t), kappa=_BULK_KAPPA)
         for t in range(t0, t1)
     ]
-    return band, gue
+    return {"band": band, "gue": gue}
 
 
 def _exp_universality(report, config, prof, workers):
-    parts = _map_trials(_gap_ratio_chunk, config.trials, workers, config, prof)
-    band = [v for p in parts for v in p[0]]
-    gue = [v for p in parts for v in p[1]]
+    cols = _map_trials(_gap_ratio_chunk, config.trials, workers, config, prof)
+    band, gue = cols["band"], cols["gue"]
     rng = substream_rng(_aux_master(config.seed, 5), 0)
     poisson = [
         gap_ratio_mean(np.sort(rng.uniform(-2, 2, 10_000)), kappa=_BULK_KAPPA)
@@ -551,45 +541,42 @@ def _que_chunk(args):
     # each factorization takes its own draw of trial t
     config, prof, pi, t0, t1 = args
     z = config.z()
-    traces = np.empty(t1 - t0)
-    worst_rel = sentinel = supnorm = 0.0
-    holds = 0
+    draws, spectra = [], []
     for t in range(t0, t1):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
-        sentinel = max(sentinel, ctx.ward_dev)
-        tr_res = traces[t - t0] = que_trace(ctx, pi)
+        tr_res = que_trace(ctx, pi)
+        draws.append((tr_res, ctx.ward_dev))
         del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
             spec = eigensolve(sample_band(prof, config.seed, t))
             _, _, ok, tr_spec = overlap_bound_check(spec, z, pi, l=2 * z.imag)
-            worst_rel = max(worst_rel, abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300))
-            holds += ok
             try:
-                supnorm = max(supnorm, deloc_supnorm(spec, kappa=_BULK_KAPPA))
+                supnorm = deloc_supnorm(spec, kappa=_BULK_KAPPA)
             except WindowError:
-                pass  # no bulk eigenvalue in this draw: it adds nothing
+                supnorm = 0.0  # no bulk eigenvalue in this draw: it adds nothing
+            spectra.append((abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300), ok, supnorm))
             del spec  # free the eigenvectors before the next draw's inverse
-    return traces, worst_rel, holds, sentinel, supnorm
+    return _columns(("trace", "sentinel"), draws) | _columns(("rel_gap", "holds", "supnorm"), spectra)
 
 
 def _exp_que(report, config, prof, workers):
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
     draws = max(QUE_BOUND_MIN_DRAWS, config.trials)
-    parts = _map_trials(_que_chunk, draws, workers, config, prof, pi)
-    mean, se, bound = que_bound_ratio(np.concatenate([p[0] for p in parts]), prof, pi)
+    cols = _map_trials(_que_chunk, draws, workers, config, prof, pi)
+    mean, se, bound = que_bound_ratio(cols["trace"], prof, pi)
     report.add(
         "trace_rel_gap_max",
-        max(p[1] for p in parts),
+        cols["rel_gap"].max(),
         "max relative gap between the dense-inverse and spectral trace computations",
         config.trials,
     )
     report.add(
         "overlap_bound_holds_frac",
-        sum(p[2] for p in parts) / config.trials,
+        cols["holds"].sum() / config.trials,
         "fraction of draws where the overlap bound holds (must be 1)",
         config.trials,
     )
-    supnorm = max(p[4] for p in parts)
+    supnorm = cols["supnorm"].max()
     if supnorm == 0.0:  # a unit eigenvector has max_x |u_x|^2 >= 1/N
         raise WindowError(
             f"no eigendecomposed draw has an eigenvalue in the bulk window |x| <= {2 - _BULK_KAPPA}"
@@ -618,7 +605,7 @@ def _exp_que(report, config, prof, workers):
     report.add("bound_bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)")
     report.add("bound_ratio", mean / bound, "trace_mean_abs / bound_scale", draws)
     report.add("bound_ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
-    report.add("max_ward_sentinel_dev", max(p[3] for p in parts), _SENTINEL_DEF, draws)
+    _add_sentinel(report, cols)
 
 
 def _exp_graph(report, config, prof, workers):

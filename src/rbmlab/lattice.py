@@ -118,14 +118,23 @@ class TorusLattice:
         builds no index array of the result's size: row x is one window of
         the reflected kernel tiled twice per axis, copied out whole.
         """
+        return self.kernel_rows(kernel)(rows)
+
+    def kernel_rows(self, kernel):
+        """kernel_matrix's gather with the tiled reflection built once: the
+        function rows -> kernel_matrix(kernel, rows), for a scan over many
+        row blocks of one kernel."""
         L, d = self.L, self.d
         # reflected[j] = k(-j), so k(x - y) = reflected(y - x), and the window
         # of the tiled reflection starting at L - x holds reflected(y - x) at y
-        tiled = np.tile(self.reflect(kernel), (2,) * d)
-        windows = sliding_window_view(tiled, (L,) * d)
-        rows = np.arange(self.N) if rows is None else np.asarray(rows)
-        start = L - (self.coords[rows.ravel()] + self.shift)
-        return windows[tuple(start.T)].reshape(rows.shape + (self.N,))
+        windows = sliding_window_view(np.tile(self.reflect(kernel), (2,) * d), (L,) * d)
+
+        def gather(rows=None):
+            rows = np.arange(self.N) if rows is None else np.asarray(rows)
+            start = L - (self.coords[rows.ravel()] + self.shift)
+            return windows[tuple(start.T)].reshape(rows.shape + (self.N,))
+
+        return gather
 
     @cached_property
     def distance_fft(self) -> np.ndarray:

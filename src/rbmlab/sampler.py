@@ -106,8 +106,8 @@ def _draw(seed, t0, out, scale, diag_var):
     parts, then the diagonal.  The B trials' generators stay alive, so
     each block's scales serve the whole stack: scale is a scalar, or the
     variance profile, whose sqrt(s_xy / 2) a block gathers from the
-    N-vector sqrt(k / 2) (no N x N variance matrix, no vector over all
-    pairs).  The normals are scaled by it and by sqrt(diag_var) on the
+    N-vector sqrt(k / 2), tiled once per call (lattice.kernel_rows; no
+    N x N variance matrix, no vector over all pairs).  The normals are scaled by it and by sqrt(diag_var) on the
     diagonal, and added to the upper triangle and the diagonal; the lower
     triangle is then the adjoint of the upper.  Beside the stack, only
     block-sized buffers are live.
@@ -117,13 +117,12 @@ def _draw(seed, t0, out, scale, diag_var):
     buf = np.empty(max([n] + [offs[r1] - offs[r0] for r0, r1, _, _ in layout]))
     profiled = isinstance(scale, VarianceProfile)
     if profiled:
-        lat = scale.lattice
-        root = np.sqrt(scale.kernel_fft / 2.0)
+        gather = scale.lattice.kernel_rows(np.sqrt(scale.kernel_fft / 2.0))
     rngs = [substream_rng(seed, t) for t in range(t0, t0 + out.shape[0])]
     for part in (out.real, out.imag):
         for r0, r1, upper, _ in layout:
             v = buf[: offs[r1] - offs[r0]]
-            s = lat.kernel_matrix(root, np.arange(r0, r1))[upper] if profiled else scale
+            s = gather(np.arange(r0, r1))[upper] if profiled else scale
             for rng, h in zip(rngs, part):
                 rng.standard_normal(out=v)  # continues the trial's one stream
                 v *= s

@@ -5,10 +5,13 @@ Every trial draws from its own generator keyed by a stateless hash of
 worker count.  The mixing constants below are fixed; any implementation
 using them reproduces the keys bit-for-bit.
 
-Trial loops go through _map_chunks over _chunk_ranges: trials are split
-into chunks of _TRIAL_CHUNK, a size fixed independently of the pool, each
-chunk is one task, and the results come back in chunk order, so a
-reduction over them is the same for any worker count.
+Trial loops go through _map_chunks over _chunk_ranges (harness._map_trials
+is their one caller): trials are split into chunks of _TRIAL_CHUNK, a size
+fixed independently of the pool, each chunk is one task, and the results
+come back in chunk order.  Every chunk returns per-trial columns, which
+harness joins in trial order, so no metric depends on the chunk size
+either; the size stays fixed because products over a stack of resolvents
+(texp2's) can round differently for another stack shape.
 """
 
 import numpy as np
@@ -46,9 +49,11 @@ def substream_rng(master: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(seed_substream(master, trial))
 
 
-def _chunk_ranges(trials: int):
-    """[(t0, t1), ...] covering range(trials) in chunks of _TRIAL_CHUNK."""
-    return [(t0, min(t0 + _TRIAL_CHUNK, trials)) for t0 in range(0, trials, _TRIAL_CHUNK)]
+def _chunk_ranges(trials: int, size: int | None = None):
+    """[(t0, t1), ...] covering range(trials) in chunks of size trials
+    (default _TRIAL_CHUNK)."""
+    size = size or _TRIAL_CHUNK
+    return [(t0, min(t0 + size, trials)) for t0 in range(0, trials, size)]
 
 
 def _map_chunks(fn, chunk_args, workers: int):

@@ -127,7 +127,7 @@ class ResolventContext:
         """The Ward sentinel: largest relative deviation over columns y of
         sum_x |G_xy|^2 = Im G_yy / eta; raises NumericError above
         _WARD_SENTINEL_TOL.  resolvent reads it before it returns."""
-        return _ward_check(self.G, self.eta, f"sample {self.provenance}, z={self.z}")
+        return float(_ward_check(self.G, self.eta, f"sample {self.provenance}, z={self.z}"))
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,9 @@ def resolvent(
 
 def resolvent_stack(a, z: complex, what: str):
     """(G, dev): the resolvents (H - z)^{-1}, Im z > 0, of a stack a of shape
-    (B, N, N), written over a by _block_inv, and the Ward sentinel's largest
-    deviation over them; `what` names the stack in its NumericError."""
+    (B, N, N), written over a by _block_inv, and the Ward sentinel's
+    deviation of each, shape (B,); `what` names the stack in its
+    NumericError."""
     if z.imag <= 0:
         raise HalfPlaneError("resolvent_stack requires Im z > 0")
     G = _block_inv(_shifted(a, z))
@@ -285,7 +286,8 @@ def ward_residual(ctx: ResolventContext) -> float:
 
 def _ward_check(G, eta, what):
     """The Ward sentinel over a resolvent or a stack (..., N, N) of them,
-    all at Im z = eta; `what` names them in the error.
+    all at Im z = eta: the largest relative deviation of each matrix, shape
+    (...); `what` names them in the error.
 
     O(N^2) per matrix and free of N x N temporaries (sums over the real and
     imaginary views), so it can guard every resolvent a run computes.
@@ -295,10 +297,11 @@ def _ward_check(G, eta, what):
     rhs = np.diagonal(G, axis1=-2, axis2=-1).imag / eta
     with np.errstate(divide="ignore", invalid="ignore"):
         # col > 0 for any inverse; a negative Im G_yy then reads as dev > 1
-        dev = float(np.max(np.abs(col - rhs) / col))
-    if not dev <= _WARD_SENTINEL_TOL:  # also catches NaN
+        dev = np.max(np.abs(col - rhs) / col, axis=-1)
+    worst = float(np.max(dev))
+    if not worst <= _WARD_SENTINEL_TOL:  # also catches NaN
         raise NumericError(
-            f"Ward sentinel: relative deviation {dev:.3e} exceeds "
+            f"Ward sentinel: relative deviation {worst:.3e} exceeds "
             f"{_WARD_SENTINEL_TOL:.0e} for {what}"
         )
     return dev

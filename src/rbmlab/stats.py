@@ -38,6 +38,8 @@ __all__ = [
 _TRACE_TOL = 1e-10
 QUE_BOUND_MIN_DRAWS = 20  # fewest traces que_bound_ratio averages
 LOCAL_LAW_MAX_E = 1.9  # largest |E| local_law_ratios admits: the bulk
+SEMICIRCLE_MIN_EIGS = 16  # fewest eigenvalues semicircle_distance takes
+GAP_RATIO_MIN_BULK = 50  # fewest bulk eigenvalues gap_ratio_mean averages over
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ def semicircle_distance(eigs) -> float:
     eigenvalues eigs and the semicircle CDF on [-2, 2]."""
     lam = np.sort(np.asarray(eigs, dtype=float))
     n = lam.size
-    if n < 16:
-        raise ParameterError(f"need at least 16 eigenvalues, got {n}")
+    if n < SEMICIRCLE_MIN_EIGS:
+        raise ParameterError(f"need at least {SEMICIRCLE_MIN_EIGS} eigenvalues, got {n}")
     F = semicircle_cdf(lam)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(np.abs(F - i / n), np.abs(F - (i - 1) / n))))
@@ -117,32 +119,14 @@ def local_law_ratios(ctx: ResolventContext) -> tuple:
     # stay near 1 MB at any N
     max_dist = int(dist.max())
     shell_max = np.zeros(max_dist + 1)
+    gather = lat.kernel_rows(dist)
     for r0, r1 in row_blocks(n):
-        dmat = lat.kernel_matrix(dist, np.arange(r0, r1))
+        dmat = gather(np.arange(r0, r1))
         np.maximum.at(shell_max, dmat.ravel(), (np.abs(G[r0:r1]) ** 2).ravel())
     denom = np.empty(max_dist + 1)
     denom[dist] = b_kernel(lat, W)
     shell_max /= denom + 1.0 / (n * ctx.eta)
     return diag_gap, shell_max[1:]
-
-
-def _moments(values):
-    """(n, mean, M2) of complex values, with M2 = [sum of squared deviations
-    of the real parts, same for the imaginary parts] about the mean."""
-    mean = values.mean()
-    dev = values - mean
-    return values.size, mean, np.array([np.sum(dev.real**2), np.sum(dev.imag**2)])
-
-
-def _merge_moments(a, b):
-    """Pairwise update of two (n, mean, M2) partials (Chan, Golub and
-    LeVeque), stable where sum(x^2)/n - mean^2 cancels catastrophically."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    m2 = m2_a + m2_b + np.array([delta.real**2, delta.imag**2]) * (na * nb / n)
-    return n, mean_a + delta * (nb / n), m2
 
 
 def deloc_supnorm(spec: SpectralData, kappa: float) -> float:
@@ -237,9 +221,9 @@ def gap_ratio_mean(eigs, kappa: float) -> float:
     center = lam[1:-1]
     g1, g2 = gaps[:-1], gaps[1:]
     keep = np.abs(center) <= 2.0 - kappa
-    if keep.sum() < 50:
+    if keep.sum() < GAP_RATIO_MIN_BULK:
         raise WindowError(
-            f"need at least 50 bulk eigenvalues, found {int(keep.sum())}"
+            f"need at least {GAP_RATIO_MIN_BULK} bulk eigenvalues, found {int(keep.sum())}"
         )
     g1, g2 = g1[keep], g2[keep]
     hi = np.maximum(g1, g2)

@@ -101,7 +101,7 @@ def test_config_validation_errors():
             run(ExperimentConfig("universality", **{field: value}))
     with pytest.raises(CapacityError, match="8192"):
         run(ExperimentConfig("wardcheck", d=1, L=16384))
-    harness._validate(ExperimentConfig("universality", W=harness._MAX_BAND))  # the bound is admitted
+    harness._validate(ExperimentConfig("universality", L=64, W=harness._MAX_BAND))  # the bound is admitted
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -151,7 +151,7 @@ def test_locallaw_draw_never_holds_h_beside_g():
     n = prof.lattice.N
     tracemalloc.start()
     try:
-        harness._locallaw_draw((cfg, prof, 0))
+        harness._locallaw_chunk((cfg, prof, 0, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,6 +172,53 @@ def test_ward_chunk_peak_memory_is_one_resolvent():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * 16 * n * n, peak / (16 * n * n)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig("wardcheck", d=2, L=6, W=2.0, eta=(0.3,), trials=130, seed=5),
+        ExperimentConfig("texp2", d=1, L=8, W=2.0, trials=300, seed=4),
+        ExperimentConfig("que", d=1, L=16, W=2.0, trials=9, seed=2),
+        ExperimentConfig("universality", d=1, L=80, W=80.0, trials=9, seed=5, flow_time=0.5),
+        ExperimentConfig("locallaw", d=1, L=16, W=2.0, eta=(0.2, 0.6), trials=3, seed=8),
+    ],
+    ids=lambda cfg: cfg.experiment,
+)
+def test_metrics_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, cfg):
+    # every chunk returns per-trial columns, joined in trial order, and every
+    # draw (site picks included) is a pure function of (seed, trial)
+    from rbmlab import seeding
+
+    written = []
+    for size in (1, 7, 64):
+        monkeypatch.setattr(seeding, "_TRIAL_CHUNK", size)
+        out = tmp_path / str(size)
+        run(dataclasses.replace(cfg, out=str(out)))
+        written.append({p: (out / p).read_bytes() for p in sorted(os.listdir(out)) if p != "manifest.json"})
+    assert "metrics.json" in written[0]
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize(
+    "args,why",
+    [
+        (["texp2"], "trials=10 must be >= 100 for texp2"),
+        (["locallaw"], "N=8 must be >= 16 for locallaw"),
+        (["universality"], "N=8 must be >= 52 for universality"),
+        (["universality", "--size", "51", "--band", "4"], "N=51 must be >= 52"),
+    ],
+)
+def test_statistics_the_lattice_cannot_feed_exit_2_before_any_draw(tmp_path, monkeypatch, capsys, args, why):
+    # the three experiments whose defaults are refused, refused before the run
+    monkeypatch.setitem(harness._DISPATCH, args[0], (lambda *_: pytest.fail("ran"), harness._DISPATCH[args[0]][1]))
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and len(err.splitlines()) == 1, err
+    assert not out.exists()
+    harness._validate(ExperimentConfig("locallaw", L=16))  # the bounds are admitted
+    harness._validate(ExperimentConfig("universality", L=52))
 
 
 def test_rerun_bit_for_bit(tmp_path):
@@ -476,7 +523,7 @@ def test_locallaw_outside_the_bulk_exits_2_before_any_draw(monkeypatch, capsys, 
     assert cli.main([*args, f"--energy={energy}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "|E| <= 1.9" in err and len(err.splitlines()) == 1
-    harness._validate(ExperimentConfig("locallaw", E=-1.9))  # the bulk edge is admitted
+    harness._validate(ExperimentConfig("locallaw", L=16, E=-1.9))  # the bulk edge is admitted
     harness._validate(ExperimentConfig("wardcheck", E=1.95))  # only the bulk statistic needs the bulk
 
 

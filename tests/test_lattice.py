@@ -18,6 +18,28 @@ def test_coordinate_range():
     assert lat5.coords.min() == -2 and lat5.coords.max() == 2
 
 
+def test_row_block_scans_tile_the_kernel_once(monkeypatch):
+    # _draw and local_law_ratios gather many row blocks of one kernel from
+    # one tiled reflection; rows gathered through it equal kernel_matrix's
+    from rbmlab import sampler, spectral, stats
+    from rbmlab.profile import build_profile, get_shape
+
+    lat = TorusLattice(2, 32)
+    kern = np.random.default_rng(5).standard_normal((32, 32))
+    rows = np.arange(100, 300)
+    assert np.array_equal(lat.kernel_rows(kern)(rows), lat.kernel_matrix(kern, rows))
+    assert np.array_equal(lat.kernel_rows(kern)(), lat.kernel_matrix(kern))
+    prof = build_profile(get_shape("gaussian"), 3.0, lat)
+    calls = []
+    reflect = TorusLattice.reflect
+    monkeypatch.setattr(TorusLattice, "reflect", lambda self, k: calls.append(1) or reflect(self, k))
+    sample = sampler.sample_band(prof, 4, 0)
+    assert len(calls) == 1
+    ctx = spectral.resolvent(sample, 0.2 + 0.3j, prof, check=False)
+    stats.local_law_ratios(ctx)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("d, L", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
 def test_kernel_matrix_matches_pair_index(d, L):
     lat = TorusLattice(d, L)

@@ -152,6 +152,14 @@ def test_only_harness_maps_trials():
         and {getattr(n.func, "id", None), getattr(n.func, "attr", None)} & {"_map_chunks", "_chunk_ranges"}
     }
     assert mappers == {"harness"}, f"trials mapped outside harness: {sorted(mappers - {'harness'})}"
+    # and inside harness, _map_trials alone: every experiment gets its columns from it
+    callers = {
+        node.name
+        for node in _trees()["harness"].body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("_map_chunks", "_chunk_ranges")
+    }
+    assert callers == {"_map_trials"}, callers
 
 
 def _exported(tree) -> set:

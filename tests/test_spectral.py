@@ -408,6 +408,31 @@ def test_second_order_residual_same_for_any_worker_count():
     assert one.to_json() == two.to_json()
 
 
+def test_texp2_moments_are_stable_under_a_common_offset(monkeypatch):
+    # residuals near 1e8 + 3e8i with unit noise: the means and stderrs come
+    # from whole columns, so the offset cannot cancel them catastrophically
+    trials = 1000
+    rng = np.random.default_rng(9)
+    x = 1e8 + rng.standard_normal((3, trials)) + 1j * (3e8 + rng.standard_normal((3, trials)))
+    done = [0]
+
+    def offset_batch(G, m, eta, prof, sites, theta_rows):
+        t0, b = done[0], G.shape[0]
+        done[0] += b
+        zero = np.zeros((len(sites), b), dtype=complex)
+        return x[:, t0 : t0 + b], zero, zero, zero
+
+    monkeypatch.setattr(harness, "_second_order_batch", offset_batch)
+    rep = _texp2(trials, seed=3)
+    assert done[0] == trials
+    for (a, b1, b2), r in zip(harness._TEXP2_SITES, x):  # the order the chunks are given
+        key = f"sites_{a}_{b1}_{b2}"
+        for part, v in (("re", r.real), ("im", r.imag)):
+            m = rep.metrics[f"mean_{part}_{key}"]
+            assert m.value == pytest.approx(np.mean(v), rel=1e-15)
+            assert m.stderr == pytest.approx(np.std(v) / np.sqrt(trials), rel=1e-9)
+
+
 def test_second_order_residual_draws_and_inverts_each_trial_once(monkeypatch):
     draws, inverted = [], []
     sample = harness.sample_band_batch

@@ -17,8 +17,6 @@ from rbmlab.sampler import HermitianSample, Provenance, sample_band, sample_gue
 from rbmlab.spectral import eigensolve, resolvent
 from rbmlab.stats import (
     TestDiagonal,
-    _merge_moments,
-    _moments,
     box_indicator,
     deloc_supnorm,
     gap_ratio_mean,
@@ -320,16 +318,3 @@ def test_stat_report_serialization(tmp_path):
     rep = StatReport("demo")
     rep.add("gamma", 2.0, "a, b", stderr=np.float64(0.25))
     assert rep.csv_text() == "metric,value,stderr,n,definition\ngamma,2.0,0.25,1,a; b\n"
-
-
-def test_chunk_moments_merge_stably_under_a_common_offset():
-    rng = np.random.default_rng(9)
-    x = 1e8 + rng.standard_normal(1000) + 1j * (-3e8 + 2.0 * rng.standard_normal(1000))
-    parts = [_moments(x[a:b]) for a, b in ((0, 1), (1, 300), (300, 1000))]
-    n, mean, m2 = parts[0]
-    for p in parts[1:]:
-        n, mean, m2 = _merge_moments((n, mean, m2), p)
-    assert n == x.size
-    assert mean == pytest.approx(x.mean(), rel=1e-15)
-    assert m2[0] / n == pytest.approx(np.var(x.real), rel=1e-9)
-    assert m2[1] / n == pytest.approx(np.var(x.imag), rel=1e-9)
