@@ -53,7 +53,7 @@ from .stats import (
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    que_bound_ratio,
+    que_bound_scale,
     que_trace,
     semicircle_distance,
 )

@@ -1,8 +1,8 @@
 """LAPACK through ctypes, in the OpenBLAS library numpy already loads
 (numpy.libs/libscipy_openblas64_*.so, 64-bit integers, symbols suffixed
 64_), for what numpy does not offer: a factorization in the caller's own
-buffer, the eigenvalues of a tridiagonal matrix from its two vectors, and
-the BLAS thread count and kernel.
+buffer, the eigenvalues of a tridiagonal matrix from its two vectors, the
+BLAS thread count and kernel, and a setter for that count.
 
 numpy's eigvalsh copies its input into a Fortran-order buffer before it
 calls zheevd.  hermitian_eigvalsh calls the same driver, JOBZ='N' and
@@ -20,7 +20,8 @@ N x N matrix, numpy's copy of it or the O(N^3) reduction.
 
 The library and its symbols are looked up on first use; where they are
 missing (another numpy build), the eigenvalue routines fall back to
-np.linalg.eigvalsh and blas_info returns None.
+np.linalg.eigvalsh, blas_info returns None and set_blas_threads sets
+nothing.
 """
 
 import ctypes
@@ -99,6 +100,17 @@ def blas_info():
         "threads": None if threads is None else int(threads),
         "kernel": None if kernel is None else kernel.decode(),
     }
+
+
+def set_blas_threads(k: int) -> bool:
+    """Set the OpenBLAS thread count to k >= 1 for the whole process; False,
+    and nothing set, where the library or its symbol is missing."""
+    f = _symbol("scipy_openblas_set_num_threads64_")
+    if f is None:
+        return False
+    f.argtypes, f.restype = [ctypes.c_int], None
+    f(k)
+    return True
 
 
 def tridiagonal_eigvalsh(d, e):

@@ -22,10 +22,6 @@ class HalfPlaneError(ParameterError):
     """A spectral parameter z was given with Im z <= 0."""
 
 
-class InsufficientSamplesError(ParameterError):
-    """A Monte Carlo routine was asked for too few trials."""
-
-
 class WindowError(RbmlabError):
     """A spectral window (bulk region) contains no eigenvalues."""
 

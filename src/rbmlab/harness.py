@@ -6,14 +6,21 @@ Flags, --config files, rerun manifests and configs built in code all pass
 through cast_config; every output file goes through tables.write_text.
 
 Reruns from a manifest reproduce every metric bit-for-bit for any worker
-count: each trial draws from its own substreams, _map_trials maps fixed-size
-chunks of trials independent of the pool size, every chunk returns named
-per-trial columns that _map_trials joins in trial order, and each
-experiment reduces whole columns.
+count, on the same BLAS library and kernel: each trial draws from its own
+substreams, _map_trials maps fixed-size chunks of trials independent of the
+pool size, every chunk returns named per-trial columns that _map_trials
+joins in trial order, and rerun pins the BLAS thread count the manifest
+records.
+
+Each metric over a column is one row (metric, column, how, definition) of
+its experiment, which _reduce applies to the whole joined column, with n the
+column's length and the one stderr formula; a metric derived from others
+reads them back from the report.
 """
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -56,15 +63,16 @@ from .spectral import (
 from .stats import (
     GAP_RATIO_MIN_BULK,
     LOCAL_LAW_MAX_E,
-    QUE_BOUND_MIN_DRAWS,
+    POISSON_GAP_RATIO_MEAN,
     SEMICIRCLE_MIN_EIGS,
     box_indicator,
     deloc_supnorm,
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    que_bound_ratio,
+    que_bound_scale,
     que_trace,
+    semicircle_cdf,
     semicircle_distance,
 )
 from .tables import site_table, table_text, write_text
@@ -93,10 +101,14 @@ _TEXP2_MIN_TRIALS = 100  # fewest trials whose standard errors the z-test trusts
 _PSI_NAMES = (*_SHAPES, "mean-field")
 _PROFILE_FIELDS = ("d", "L", "W", "psi")  # the config fields _profile_for reads
 _BULK_KAPPA = 0.5  # the bulk window |x| <= 2 - kappa of the gap ratios and the supnorm
-_SENTINEL_DEF = "max over resolvents of the Ward sentinel's relative deviation"
+QUE_BOUND_MIN_DRAWS = 20  # fewest draws whose traces que's bound averages
+_WINDOW_MASS = float(semicircle_cdf(2 - _BULK_KAPPA) - semicircle_cdf(_BULK_KAPPA - 2))  # 0.8557
 # fewest sites an experiment's statistics take: the KS distance's eigenvalues,
-# and the gap ratios' interior bulk points
-_MIN_N = {"locallaw": SEMICIRCLE_MIN_EIGS, "universality": GAP_RATIO_MIN_BULK + 2}
+# and for the gap ratios' interior bulk points N times the bulk window's mass
+# with a margin of 4, as a draw's count scatters by a few about that mean: at
+# N = 60 a few in 1000 GUE draws held fewer than 50, at N = 64 none of 2000
+# held fewer than 52
+_MIN_N = {"locallaw": SEMICIRCLE_MIN_EIGS, "universality": math.ceil((GAP_RATIO_MIN_BULK + 4) / _WINDOW_MASS)}
 
 
 @dataclass(frozen=True)
@@ -310,9 +322,18 @@ def _columns(names, rows):
     return dict(zip(names, np.asarray(rows, dtype=float).reshape(-1, len(names)).T))
 
 
-def _add_sentinel(report, cols):
-    sentinel = cols["sentinel"]
-    report.add("max_ward_sentinel_dev", sentinel.max(), _SENTINEL_DEF, sentinel.size)
+def _reduce(report, cols, rows):
+    """One metric per row (metric, column, how, definition) over the whole
+    column v = cols[column], with n = v.size: how is max (v's largest entry),
+    frac (the mean of a 0/1 column) or mean (with stderr std(v, ddof=1)/sqrt(n))."""
+    for metric, column, how, definition in rows:
+        v = np.asarray(cols[column])
+        value = {"max": v.max, "frac": v.mean, "mean": v.mean}[how]()
+        stderr = float(v.std(ddof=1) / np.sqrt(v.size)) if how == "mean" else None
+        report.add(metric, value, definition, v.size, stderr)
+
+
+_SENTINEL = ("max_ward_sentinel_dev", "sentinel", "max", "max over resolvents of the Ward sentinel's relative deviation")
 
 
 # --- experiments ----------------------------------------------------------
@@ -364,13 +385,12 @@ def _ward_chunk(args):
 
 def _exp_wardcheck(report, config, prof, workers):
     cols = _map_trials(_ward_chunk, config.trials, workers, config, prof)
-    for name, definition in (
-        ("residual", "max over draws of the Ward identity residual"),
-        ("scaled_residual", "residual / (1e-9 max(1, N |G|max^2)); pass iff <= 1"),
-        ("zero_mode_rel_err", "max relative error of the zero-mode split reconstruction"),
-    ):
-        report.add(f"max_{name}", cols[name].max(), definition, config.trials)
-    _add_sentinel(report, cols)
+    _reduce(report, cols, [
+        ("max_residual", "residual", "max", "max over draws of the Ward identity residual"),
+        ("max_scaled_residual", "scaled_residual", "max", "residual / (1e-9 max(1, N |G|max^2)); pass iff <= 1"),
+        ("max_zero_mode_rel_err", "zero_mode_rel_err", "max", "max relative error of the zero-mode split reconstruction"),
+        _SENTINEL,
+    ])
 
 
 def _texp2_chunk(args):
@@ -381,7 +401,10 @@ def _texp2_chunk(args):
     what = f"seed {config.seed}, trials [{t0}, {t1}), z={z}"
     G, dev = resolvent_stack(sample_band_batch(prof, config.seed, t0, t1), z, what)
     T, lead, zm, corr = _second_order_batch(G, semicircle_m(z), z.imag, prof, triples, theta_rows)
-    return {"sentinel": dev, "residual": (T - lead - zm - corr).T}  # residual[t, i]: triple i
+    cols = {"sentinel": dev}
+    for (a, b1, b2), r in zip(triples, T - lead - zm - corr):  # r[t]: the triple's residual at trial t
+        cols[f"re_sites_{a}_{b1}_{b2}"], cols[f"im_sites_{a}_{b1}_{b2}"] = r.real, r.imag
+    return cols
 
 
 def _exp_texp2(report, config, prof, workers):
@@ -390,46 +413,36 @@ def _exp_texp2(report, config, prof, workers):
     triples = [s for s in _TEXP2_SITES if max(s) < lat.N] or [(0, 0, 0)]
     theta_rows = lat.kernel_matrix(theta_circ(prof, config.z()), [a for a, _, _ in triples])
     cols = _map_trials(_texp2_chunk, config.trials, workers, config, prof, triples, theta_rows)
-    n = config.trials
-    worst_z = 0.0
-    for (a, b1, b2), r in zip(triples, cols["residual"].T):
-        mean = r.mean()
-        se_re, se_im = np.sqrt(np.var(r.real) / n), np.sqrt(np.var(r.imag) / n)
-        zr = abs(mean.real) / se_re if se_re else np.inf
-        zi = abs(mean.imag) / se_im if se_im else np.inf
-        key = f"sites_{a}_{b1}_{b2}"
-        report.add(f"mean_re_{key}", mean.real, "mean residual, real part", n, float(se_re))
-        report.add(f"mean_im_{key}", mean.imag, "mean residual, imag part", n, float(se_im))
-        report.add(f"z_re_{key}", zr, "|mean_re| / stderr_re", n)
-        report.add(f"z_im_{key}", zi, "|mean_im| / stderr_im", n)
-        worst_z = max(worst_z, zr, zi)
+    parts = [(p, part, f"sites_{a}_{b1}_{b2}") for a, b1, b2 in triples for p, part in (("re", "real"), ("im", "imag"))]
+    _reduce(report, cols, [_SENTINEL] + [
+        (f"mean_{p}_{key}", f"{p}_{key}", "mean", f"mean residual, {part} part") for p, part, key in parts
+    ])
+    for p, _, key in parts:
+        m = report.metrics[f"mean_{p}_{key}"]
+        report.add(f"z_{p}_{key}", abs(m.value) / m.stderr if m.stderr else np.inf, f"|mean_{p}| / stderr_{p}", m.n)
+    worst_z = max(report[f"z_{p}_{key}"] for p, _, key in parts)
     report.add("max_zscore", worst_z, "largest componentwise z-score; pass iff <= 5")
-    _add_sentinel(report, cols)
 
 
 def _exp_propcheck(report, config, prof, workers):
     lat = prof.lattice
-    n = lat.N
     rng = substream_rng(_aux_master(config.seed, 2), 0)
-    gaps = {"theta_circ": 0.0, "theta": 0.0, "s_plus": 0.0}
-    const_dev = 0.0
-    sum_dev = 0.0
+    cols = {k: [] for k in ("theta_circ", "theta", "s_plus", "shift", "sum")}
     for _ in range(5):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.1, 1.0))
         props = PropagatorSet.build(prof, z)
-        d_tc = dense_theta_circ(prof, z)
-        d_t = dense_theta(prof, z)
-        d_sp = dense_s_plus(prof, z)
-        gaps["theta_circ"] = max(gaps["theta_circ"], float(np.max(np.abs(d_tc - lat.kernel_matrix(props.theta_circ_fft)))))
-        gaps["theta"] = max(gaps["theta"], float(np.max(np.abs(d_t - lat.kernel_matrix(props.theta_fft)))))
-        gaps["s_plus"] = max(gaps["s_plus"], float(np.max(np.abs(d_sp - lat.kernel_matrix(props.s_plus_fft)))))
-        shift = semicircle_m(z).imag / (n * z.imag)
-        const_dev = max(const_dev, float(np.max(np.abs((d_t - d_tc) - shift))))
-        sum_dev = max(sum_dev, abs(float(props.theta_circ_fft.sum())))
-    for k, v in gaps.items():
-        report.add(f"max_gap_{k}", v, f"max |dense - FFT| for {k} over 5 random z", 5)
-    report.add("max_theta_shift_dev", const_dev, "max |(theta - theta_circ) - Im m/(N eta)|", 5)
-    report.add("max_theta_circ_sum", sum_dev, "max |sum_x theta_circ(x)|", 5)
+        d_tc, d_t = dense_theta_circ(prof, z), dense_theta(prof, z)
+        for k, dense, fft in (("theta_circ", d_tc, props.theta_circ_fft), ("theta", d_t, props.theta_fft),
+                              ("s_plus", dense_s_plus(prof, z), props.s_plus_fft)):
+            cols[k].append(float(np.max(np.abs(dense - lat.kernel_matrix(fft)))))
+        cols["shift"].append(float(np.max(np.abs((d_t - d_tc) - semicircle_m(z).imag / (lat.N * z.imag)))))
+        cols["sum"].append(abs(float(props.theta_circ_fft.sum())))
+    _reduce(report, cols, [
+        *((f"max_gap_{k}", k, "max", f"max |dense - FFT| for {k} over 5 random z")
+          for k in ("theta_circ", "theta", "s_plus")),
+        ("max_theta_shift_dev", "shift", "max", "max |(theta - theta_circ) - Im m/(N eta)|"),
+        ("max_theta_circ_sum", "sum", "max", "max |sum_x theta_circ(x)|"),
+    ])
 
 
 def _locallaw_chunk(args):
@@ -440,50 +453,41 @@ def _locallaw_chunk(args):
     # of an inverse, so H is never held beside G
     config, prof, t0, t1 = args
     etas = sorted(config.eta)
-    sentinel, diag, shells = [], [], []
+    cols = {"sentinel": [], "shells": [], "ks": []} | {f"{k}_{eta:g}": [] for eta in etas for k in ("diag", "ratio")}
     for t in range(t0, t1):
         for eta in etas:
             ctx = resolvent(sample_band(prof, config.seed, t), config.z(eta), prof, check=False)
-            sentinel.append(ctx.ward_dev)
+            cols["sentinel"].append(ctx.ward_dev)
             gap, shell_max = local_law_ratios(ctx)
-            diag.append(gap)
-            shells.append(shell_max)
+            cols[f"diag_{eta:g}"].append(gap)
+            cols[f"ratio_{eta:g}"].append(shell_max.max())
+            if (t, eta) == (0, etas[-1]):  # the shell table: draw 0 at the largest eta
+                cols["shells"] = shell_max
             del ctx  # free this G before the next draw allocates its H
-    ks = [semicircle_distance(eigenvalues(sample_band(prof, config.seed, 0)))] if t0 == 0 else []
-    shape = (t1 - t0, len(etas))
-    return {"sentinel": sentinel, "diag": np.reshape(diag, shape),
-            "shells": np.reshape(shells, shape + (-1,)), "ks": ks}
+    if t0 == 0:
+        cols["ks"] = [semicircle_distance(eigenvalues(sample_band(prof, config.seed, 0)))]
+    return cols
 
 
 def _exp_locallaw(report, config, prof, workers):
     # one draw per chunk: a few heavy draws would all land in one serial chunk
     cols = _map_trials(_locallaw_chunk, config.trials, workers, config, prof, chunk=1)
-    report.add("ks_distance", cols["ks"][0], "semicircle KS distance of the draw-0 spectrum")
     etas = sorted(config.eta)
-    ratios = cols["shells"].max(axis=(0, 2))  # shells[t, i, s - 1]: draw t, etas[i], distance s
-    for eta, ratio, diag in zip(etas, ratios, cols["diag"].max(axis=0)):
-        report.add(
-            f"max_offdiag_ratio_eta_{eta:g}",
-            ratio,
-            "max over draws of max |G_xy|^2/(B_xy + 1/(N eta))",
-            config.trials,
-        )
-        report.add(
-            f"max_diag_gap_eta_{eta:g}",
-            diag,
-            "max over draws of max |G_xx - m|",
-            config.trials,
-        )
-    report.add(
-        "ratio_decreasing_in_eta",
-        float(np.all(ratios[:-1] > ratios[1:])),
-        "1 if the max ratio decreases along the ascending eta grid",
-        config.trials,
-    )
-    _add_sentinel(report, cols)
+    rows = [("ks_distance", "ks", "max", "semicircle KS distance of the draw-0 spectrum"), _SENTINEL]
+    for eta in etas:
+        rows += [
+            (f"max_offdiag_ratio_eta_{eta:g}", f"ratio_{eta:g}", "max",
+             "max over draws of max |G_xy|^2/(B_xy + 1/(N eta))"),
+            (f"max_diag_gap_eta_{eta:g}", f"diag_{eta:g}", "max", "max over draws of max |G_xx - m|"),
+        ]
+    _reduce(report, cols, rows)
+    ratios = [report.metrics[f"max_offdiag_ratio_eta_{eta:g}"] for eta in etas]
+    decreasing = all(a.value > b.value for a, b in zip(ratios, ratios[1:]))
+    report.add("ratio_decreasing_in_eta", float(decreasing), "1 if the max ratio decreases along the ascending eta grid",
+               ratios[0].n)
     report.tables["ratio_shells_eta_max"] = (
         ["distance", "max_ratio"],
-        [[s, v] for s, v in enumerate(cols["shells"][0, -1], start=1)],
+        [[s, v] for s, v in enumerate(cols["shells"], start=1)],
     )
 
 
@@ -505,33 +509,15 @@ def _gap_ratio_chunk(args):
 
 def _exp_universality(report, config, prof, workers):
     cols = _map_trials(_gap_ratio_chunk, config.trials, workers, config, prof)
-    band, gue = cols["band"], cols["gue"]
-    rng = substream_rng(_aux_master(config.seed, 5), 0)
-    poisson = [
-        gap_ratio_mean(np.sort(rng.uniform(-2, 2, 10_000)), kappa=_BULK_KAPPA)
-        for _ in range(10)
-    ]
-    for name, vals in (("band", band), ("gue", gue), ("poisson", poisson)):
-        arr = np.asarray(vals)
-        report.add(
-            f"{name}_gap_ratio_mean",
-            arr.mean(),
-            f"mean bulk gap ratio, {name} ensemble (kappa={_BULK_KAPPA})",
-            arr.size,
-            float(arr.std(ddof=1) / np.sqrt(arr.size)),
-        )
-    report.add(
-        "band_gue_gap",
-        abs(np.mean(band) - np.mean(gue)),
-        "|band mean - GUE oracle mean|; universality iff small",
-        config.trials,
-    )
-    report.add(
-        "gue_poisson_gap",
-        abs(np.mean(gue) - np.mean(poisson)),
-        "|GUE mean - Poisson oracle mean|; must stay separated",
-        config.trials,
-    )
+    _reduce(report, cols, [
+        (f"{name}_gap_ratio_mean", name, "mean", f"mean bulk gap ratio, {name} ensemble (kappa={_BULK_KAPPA})")
+        for name in ("band", "gue")
+    ])
+    report.add("poisson_gap_ratio_mean", POISSON_GAP_RATIO_MEAN, "mean gap ratio of i.i.d. points, exact: 2 ln 2 - 1")
+    band, gue = report.metrics["band_gap_ratio_mean"], report.metrics["gue_gap_ratio_mean"]
+    report.add("band_gue_gap", abs(band.value - gue.value), "|band mean - GUE oracle mean|; universality iff small", band.n)
+    report.add("gue_poisson_gap", abs(gue.value - POISSON_GAP_RATIO_MEAN),
+               "|GUE mean - exact Poisson mean|; must stay separated", gue.n)
 
 
 def _que_chunk(args):
@@ -545,7 +531,7 @@ def _que_chunk(args):
     for t in range(t0, t1):
         ctx = resolvent(sample_band(prof, config.seed, t), z, prof, check=False)
         tr_res = que_trace(ctx, pi)
-        draws.append((tr_res, ctx.ward_dev))
+        draws.append((abs(tr_res), ctx.ward_dev))
         del ctx  # free this G before the eigensolve and the next draw's inverse
         if t < config.trials:
             spec = eigensolve(sample_band(prof, config.seed, t))
@@ -556,56 +542,35 @@ def _que_chunk(args):
                 supnorm = 0.0  # no bulk eigenvalue in this draw: it adds nothing
             spectra.append((abs(tr_res - tr_spec) / max(abs(tr_res), 1e-300), ok, supnorm))
             del spec  # free the eigenvectors before the next draw's inverse
-    return _columns(("trace", "sentinel"), draws) | _columns(("rel_gap", "holds", "supnorm"), spectra)
+    return _columns(("trace_abs", "sentinel"), draws) | _columns(("rel_gap", "holds", "supnorm"), spectra)
 
 
 def _exp_que(report, config, prof, workers):
     pi = box_indicator(prof.lattice, max(1, config.L // 2))
-    draws = max(QUE_BOUND_MIN_DRAWS, config.trials)
-    cols = _map_trials(_que_chunk, draws, workers, config, prof, pi)
-    mean, se, bound = que_bound_ratio(cols["trace"], prof, pi)
-    report.add(
-        "trace_rel_gap_max",
-        cols["rel_gap"].max(),
-        "max relative gap between the dense-inverse and spectral trace computations",
-        config.trials,
-    )
-    report.add(
-        "overlap_bound_holds_frac",
-        cols["holds"].sum() / config.trials,
-        "fraction of draws where the overlap bound holds (must be 1)",
-        config.trials,
-    )
-    supnorm = cols["supnorm"].max()
-    if supnorm == 0.0:  # a unit eigenvector has max_x |u_x|^2 >= 1/N
-        raise WindowError(
-            f"no eigendecomposed draw has an eigenvalue in the bulk window |x| <= {2 - _BULK_KAPPA}"
-        )
-    report.add(
-        "max_bulk_supnorm",
-        supnorm,
-        f"max over draws and bulk eigenvectors (|lambda| <= {2 - _BULK_KAPPA}) of max_x |u_x|^2",
-        config.trials,
-    )
-    report.add(
-        "bulk_supnorm_times_n",
-        config.N * supnorm,
-        "N * max_bulk_supnorm; 1 for a flat eigenvector",
-        config.trials,
-    )
+    cols = _map_trials(_que_chunk, max(QUE_BOUND_MIN_DRAWS, config.trials), workers, config, prof, pi)
+    _reduce(report, cols, [
+        ("trace_rel_gap_max", "rel_gap", "max",
+         "max relative gap between the dense-inverse and spectral trace computations"),
+        ("overlap_bound_holds_frac", "holds", "frac", "fraction of draws where the overlap bound holds (must be 1)"),
+        ("max_bulk_supnorm", "supnorm", "max",
+         f"max over draws and bulk eigenvectors (|lambda| <= {2 - _BULK_KAPPA}) of max_x |u_x|^2"),
+        ("bound_trace_mean_abs", "trace_abs", "mean", "E|trace((Im G) Pi (Im G) Pi)| estimate"),
+        _SENTINEL,
+    ])
+    sup = report.metrics["max_bulk_supnorm"]
+    if sup.value == 0.0:  # a unit eigenvector has max_x |u_x|^2 >= 1/N
+        raise WindowError(f"no eigendecomposed draw has an eigenvalue in the bulk window |x| <= {2 - _BULK_KAPPA}")
+    report.add("bulk_supnorm_times_n", config.N * sup.value, "N * max_bulk_supnorm; 1 for a flat eigenvector", sup.n)
     report.add(
         "bulk_supnorm_paper_ratio",
-        supnorm / (prof.W**-5.0 * config.L ** (5.0 - config.d)),
+        sup.value / (prof.W**-5.0 * config.L ** (5.0 - config.d)),
         "max_bulk_supnorm / (W^-5 L^(5-d)); report-only: the bound is proved for d >= 7",
-        config.trials,
+        sup.n,
     )
-    report.add(
-        "bound_trace_mean_abs", mean, "E|trace((Im G) Pi (Im G) Pi)| estimate", draws, se
-    )
+    trace, bound = report.metrics["bound_trace_mean_abs"], que_bound_scale(prof, pi)
     report.add("bound_bound_scale", bound, "(sum_y |Pi_y|) * (max_x sum_y B_xy |Pi_y|)")
-    report.add("bound_ratio", mean / bound, "trace_mean_abs / bound_scale", draws)
-    report.add("bound_ratio_flagged", float(mean / bound > 100.0), "1 if ratio > 100")
-    _add_sentinel(report, cols)
+    report.add("bound_ratio", trace.value / bound, "trace_mean_abs / bound_scale", trace.n)
+    report.add("bound_ratio_flagged", float(trace.value / bound > 100.0), "1 if ratio > 100")
 
 
 def _exp_graph(report, config, prof, workers):
@@ -650,7 +615,7 @@ def _exp_graph(report, config, prof, workers):
 
     report.add("eval_gap_t_three", gap_t3, "|evaluate(t_three graph) - t_three|")
     report.add("eval_gap_expansion", gap_exp, "|sum of expansion graph values - spectral terms|")
-    report.add("max_ward_sentinel_dev", ctx.ward_dev, _SENTINEL_DEF)
+    _reduce(report, {"sentinel": [ctx.ward_dev]}, [_SENTINEL])
 
 
 _AT_Z = ("E", "eta", "trials", "seed")  # z = E + i eta[0]; locallaw alone reads the eta grid
@@ -733,11 +698,7 @@ def _read_text(path, what: str) -> str:
         raise ValidationError(f"cannot read {what}: {exc}") from None
 
 
-def load_manifest(path: str) -> ExperimentConfig:
-    """The config a manifest records, to rerun.  Prints one warning line on
-    stderr when the BLAS thread count the manifest records differs from the
-    current one: BLAS results, and so metrics, can differ in the last
-    digits between thread counts."""
+def _read_manifest(path) -> dict:
     try:
         manifest = json.loads(_read_text(path, "manifest"))
         raw = manifest["config"]
@@ -745,25 +706,39 @@ def load_manifest(path: str) -> ExperimentConfig:
         raw = None
     if not isinstance(raw, dict):
         raise ValidationError(f"manifest {str(path)!r} is not JSON with a config object")
-    config = cast_config(raw)
-    recorded = manifest.get("blas")
-    if isinstance(recorded, dict):  # manifests written before the BLAS fields have none
-        current = _lapack.blas_info()
-        now = None if current is None else current["threads"]
-        if recorded.get("threads") != now:
-            print(
-                f"warning: the manifest records {recorded.get('threads')} BLAS threads, this "
-                f"run has {now}; metrics may differ from the recorded ones in the last digits",
-                file=sys.stderr,
-            )
-    return config
+    return manifest
+
+
+def load_manifest(path: str) -> ExperimentConfig:
+    """The config a manifest records, to rerun."""
+    return cast_config(_read_manifest(path)["config"])
 
 
 def rerun(manifest_path: str, out: str | None = None, workers: int = 1) -> ResultRecord:
+    """Run the config a manifest records at the BLAS thread count it
+    records, restored afterwards: BLAS results, and so metrics, can differ
+    in the last digits between thread counts.  Prints one warning line on
+    stderr where that count cannot be set."""
     config = load_manifest(manifest_path)
     if out is not None:
         config = dataclasses.replace(config, out=out)
-    return run(config, workers=workers)
+    recorded = _read_manifest(manifest_path).get("blas")  # manifests written before the BLAS fields have none
+    want = recorded.get("threads") if isinstance(recorded, dict) else None
+    before = (_lapack.blas_info() or {}).get("threads")
+    if type(want) is int and want >= 1:  # JSON: not a bool, a float or a string
+        _lapack.set_blas_threads(want)
+    now = (_lapack.blas_info() or {}).get("threads")
+    if want is not None and now != want:
+        print(
+            f"warning: the manifest records {want} BLAS threads, this run has {now}; "
+            "metrics may differ from the recorded ones in the last digits",
+            file=sys.stderr,
+        )
+    try:
+        return run(config, workers=workers)
+    finally:
+        if now != before:  # the pin took: give the process its count back
+            _lapack.set_blas_threads(before)
 
 
 def parse_config_file(path: str) -> dict:

@@ -143,6 +143,43 @@ def test_manifest_records_the_blas_conditions(tmp_path, monkeypatch, capsys):
     assert "warning:" not in capsys.readouterr().err
 
 
+def test_rerun_pins_the_recorded_blas_threads(tmp_path):
+    # one and two BLAS threads round que's products differently; a manifest
+    # written on two reruns on two from a process started on one
+    def rbm(threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-m", "rbmlab.cli", *args], env=env, capture_output=True, text=True)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    que = ["que", "--dim", "1", "--size", "200", "--band", "10", "--eta", "0.05", "--trials", "4", "--seed", "2"]
+    assert rbm(2, *que, "--out", str(a)).returncode == 0
+    res = rbm(1, "rerun", "--manifest", str(a / "manifest.json"), "--out", str(b))
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+
+def test_rerun_warns_where_it_cannot_pin_and_restores_the_count(tmp_path, monkeypatch, capsys):
+    cfg = ExperimentConfig("wardcheck", d=1, L=8, W=2.0, trials=2, seed=4, out=str(tmp_path / "a"))
+    run(cfg)
+    path = tmp_path / "a" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    threads = manifest["blas"]["threads"]
+    manifest["blas"]["threads"] = threads + 1
+    path.write_text(json.dumps(manifest))
+    pinned = []
+    monkeypatch.setattr(harness, "run", lambda config, workers: pinned.append(_lapack.blas_info()["threads"]))
+    rerun(path)
+    assert pinned == [threads + 1] and _lapack.blas_info()["threads"] == threads
+    assert "warning:" not in capsys.readouterr().err
+    symbol = _lapack._symbol
+    monkeypatch.setattr(_lapack, "_symbol", lambda name: None if "set_num_threads" in name else symbol(name))
+    assert _lapack.set_blas_threads(1) is False
+    rerun(path)
+    assert pinned[-1] == threads
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and f"records {threads + 1} BLAS threads, this run has {threads}" in warnings[0]
+
+
 def test_locallaw_draw_never_holds_h_beside_g():
     # each factorization takes its own draw: the peak is one resolvent
     # (1.14 N^2 complex entries) or the draw, not H beside G (2.2 N^2)
@@ -205,8 +242,8 @@ def test_metrics_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, cfg):
     [
         (["texp2"], "trials=10 must be >= 100 for texp2"),
         (["locallaw"], "N=8 must be >= 16 for locallaw"),
-        (["universality"], "N=8 must be >= 52 for universality"),
-        (["universality", "--size", "51", "--band", "4"], "N=51 must be >= 52"),
+        (["universality"], "N=8 must be >= 64 for universality"),
+        (["universality", "--size", "63", "--band", "4"], "N=63 must be >= 64"),
     ],
 )
 def test_statistics_the_lattice_cannot_feed_exit_2_before_any_draw(tmp_path, monkeypatch, capsys, args, why):
@@ -218,7 +255,7 @@ def test_statistics_the_lattice_cannot_feed_exit_2_before_any_draw(tmp_path, mon
     assert err.startswith("error: ") and why in err and len(err.splitlines()) == 1, err
     assert not out.exists()
     harness._validate(ExperimentConfig("locallaw", L=16))  # the bounds are admitted
-    harness._validate(ExperimentConfig("universality", L=52))
+    harness._validate(ExperimentConfig("universality", L=64))
 
 
 def test_rerun_bit_for_bit(tmp_path):

@@ -214,3 +214,35 @@ def test_every_parameter_is_read():
                 unread |= {(mod, fn.name, p) for p in params if p not in read and not p.startswith("_")}
     assert not unread - _UNREAD_PARAMETERS, f"parameters never read: {sorted(unread - _UNREAD_PARAMETERS)}"
     assert not _UNREAD_PARAMETERS - unread, f"read or gone, drop: {sorted(_UNREAD_PARAMETERS - unread)}"
+
+
+def _computes_a_stderr(n) -> bool:
+    # a call of std or var, or a report.add given a stderr (its fifth argument)
+    if not isinstance(n, ast.Call):
+        return False
+    name = getattr(n.func, "attr", getattr(n.func, "id", None))
+    gives_stderr = (
+        name == "add"
+        and getattr(n.func.value, "id", None) == "report"
+        and (len(n.args) >= 5 or any(k.arg == "stderr" for k in n.keywords))
+    )
+    return name in ("std", "var") or gives_stderr
+
+
+def test_only_reduce_computes_a_stderr():
+    # one stderr formula: every metric's error bar comes from harness._reduce
+    found, stray = 0, []
+    for mod, tree in _trees().items():
+        inside = {
+            id(n)
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef) and (mod, f.name) == ("harness", "_reduce")
+            for n in ast.walk(f)
+        }
+        for n in ast.walk(tree):
+            if _computes_a_stderr(n):
+                found += id(n) in inside
+                if id(n) not in inside:
+                    stray.append((mod, n.lineno))
+    assert found, "harness._reduce computes no stderr"
+    assert not stray, f"std, var or a stderr for report.add outside harness._reduce: {stray}"

@@ -398,8 +398,8 @@ def test_second_order_residual_matches_per_trial_oracle(small_profile):
         re, im = rep.metrics[f"mean_re_{key}"], rep.metrics[f"mean_im_{key}"]
         assert re.n == im.n == trials
         assert abs(complex(re.value, im.value) - r.mean()) <= 1e-12 * abs(r.mean())
-        assert re.stderr == pytest.approx(np.sqrt(r.real.var() / trials), rel=1e-12)
-        assert im.stderr == pytest.approx(np.sqrt(r.imag.var() / trials), rel=1e-12)
+        assert re.stderr == pytest.approx(r.real.std(ddof=1) / np.sqrt(trials), rel=1e-12)
+        assert im.stderr == pytest.approx(r.imag.std(ddof=1) / np.sqrt(trials), rel=1e-12)
 
 
 def test_second_order_residual_same_for_any_worker_count():
@@ -430,7 +430,7 @@ def test_texp2_moments_are_stable_under_a_common_offset(monkeypatch):
         for part, v in (("re", r.real), ("im", r.imag)):
             m = rep.metrics[f"mean_{part}_{key}"]
             assert m.value == pytest.approx(np.mean(v), rel=1e-15)
-            assert m.stderr == pytest.approx(np.std(v) / np.sqrt(trials), rel=1e-9)
+            assert m.stderr == pytest.approx(np.std(v, ddof=1) / np.sqrt(trials), rel=1e-9)
 
 
 def test_second_order_residual_draws_and_inverts_each_trial_once(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from rbmlab.errors import (
     ContractError,
-    InsufficientSamplesError,
     ParameterError,
     WindowError,
 )
@@ -22,7 +21,7 @@ from rbmlab.stats import (
     gap_ratio_mean,
     local_law_ratios,
     overlap_bound_check,
-    que_bound_ratio,
+    que_bound_scale,
     que_trace,
     random_trace_zero,
     semicircle_cdf,
@@ -272,32 +271,29 @@ def _bound_scale_by_displacement_field(prof, pi):
     return float(pi_abs.sum() * conv.max())
 
 
-def _que_traces(prof, pi, draws=20, seed=3, z=0.2 + 0.5j):
+def _que_traces(prof, pi, seed=3, z=0.2 + 0.5j):
     return [
         que_trace(resolvent(sample_band(prof, seed, t), z, prof), pi)
-        for t in range(draws)
+        for t in range(20)
     ]
 
 
 def test_que_bound_ratio(small_profile):
+    # the mean |trace| over draws against que_bound_scale, as rbm que reports it
     pi = box_indicator(small_profile.lattice, 4)
-    mean, _, bound = que_bound_ratio(_que_traces(small_profile, pi), small_profile, pi)
-    ratio = mean / bound
+    ratio = np.mean(np.abs(_que_traces(small_profile, pi))) / que_bound_scale(small_profile, pi)
     assert np.isfinite(ratio) and not ratio > 100.0  # not flagged
     # homogeneity: Pi -> 2 Pi leaves the ratio invariant
     pi2 = TestDiagonal(2 * pi.values, trace_zero=True)
-    mean2, _, bound2 = que_bound_ratio(_que_traces(small_profile, pi2), small_profile, pi2)
-    assert mean2 / bound2 == pytest.approx(ratio, rel=1e-12)
+    ratio2 = np.mean(np.abs(_que_traces(small_profile, pi2))) / que_bound_scale(small_profile, pi2)
+    assert ratio2 == pytest.approx(ratio, rel=1e-12)
     with pytest.raises(ContractError):
-        que_bound_ratio([1.0] * 20, small_profile, TestDiagonal(np.zeros(8), trace_zero=True))
-    with pytest.raises(InsufficientSamplesError):
-        que_bound_ratio(_que_traces(small_profile, pi, draws=19), small_profile, pi)
+        que_bound_scale(small_profile, TestDiagonal(np.zeros(8), trace_zero=True))
     # the bound scale equals the displacement-field formula in d = 1 and d = 2
     prof_2d = build_profile(get_shape("gaussian"), 2.0, TorusLattice(2, 6))
     for prof, side in ((small_profile, 3), (prof_2d, 2)):
         pi = box_indicator(prof.lattice, side)
-        bound = que_bound_ratio(_que_traces(prof, pi), prof, pi)[2]
-        assert bound == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
+        assert que_bound_scale(prof, pi) == pytest.approx(_bound_scale_by_displacement_field(prof, pi), rel=1e-12)
 
 
 def test_stat_report_serialization(tmp_path):
